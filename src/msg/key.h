@@ -31,9 +31,11 @@ struct KeyRange {
   friend bool operator==(const KeyRange&, const KeyRange&) = default;
 
   std::string ToString() const {
-    std::string s = "[" + std::to_string(low) + ",";
+    std::string s = "[";
+    s += std::to_string(low);
+    s += ',';
     s += high == kKeyInfinity ? std::string("inf") : std::to_string(high);
-    s += ")";
+    s += ')';
     return s;
   }
 };
@@ -61,7 +63,11 @@ struct NodeId {
 
   std::string ToString() const {
     if (!valid()) return "n(null)";
-    return "n" + std::to_string(creator()) + "." + std::to_string(seq());
+    std::string s = "n";
+    s += std::to_string(creator());
+    s += '.';
+    s += std::to_string(seq());
+    return s;
   }
 };
 

@@ -138,8 +138,8 @@ bool SimNetwork::Step() {
   // own fault randomness applies. The rng_ consumption order below is
   // exactly the pre-strategy behavior, so legacy seeds replay unchanged.
   DeliveryOutcome outcome = DeliveryOutcome::kDeliver;
-  std::optional<DeliveryOutcome> forced =
-      strategy_ != nullptr ? strategy_->ForceOutcome() : std::nullopt;
+  std::optional<DeliveryOutcome> forced;
+  if (strategy_ != nullptr) forced = strategy_->ForceOutcome();
   // Self-sends model in-process work, not network traffic, and they bypass
   // any reliable layer stacked above — never fault them (faults.cc holds
   // the same line for the real fault injector).

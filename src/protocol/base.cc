@@ -344,6 +344,22 @@ void BaseProtocol::FinishSplit(Node& node, Node::SplitResult& split) {
   }
 }
 
+NodeId BaseProtocol::SplitParentTarget(const Node& node, Key sep) {
+  const int32_t want = node.level() + 1;
+  for (NodeId id = p_.store().root_hint();;) {
+    const Node* n = Local(id);
+    // Hint below the parent level, or the path is not replicated here.
+    if (n == nullptr || n->level() < want) return node.parent();
+    if (sep >= n->right_low()) {
+      id = n->right();
+    } else if (n->level() > want) {
+      id = n->ChildFor(sep);
+    } else {
+      return id;
+    }
+  }
+}
+
 void BaseProtocol::GrowNewRoot(Node& old_top, Key sep, NodeId sibling) {
   LAZYTREE_CHECK(old_top.range().low == 0)
       << "top node must cover the key space";

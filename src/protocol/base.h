@@ -137,9 +137,9 @@ class BaseProtocol : public ProtocolHandler {
   /// Completes the structural half of a split at the PC: places the
   /// sibling's copies, grows a new root first when `node` was the top (so
   /// the sibling's parent pointer is correct), distributes the sibling
-  /// snapshot, and sends the (sep -> sibling) initial insert into the
-  /// parent. Parent-pointer staleness is recovered by right-forwarding at
-  /// the parent level.
+  /// snapshot, and sends the (sep -> sibling) initial insert to the
+  /// SplitParentTarget. A target that is stale by then is recovered by
+  /// the initial insert's right-link chase at the parent level.
   void FinishSplit(Node& node, Node::SplitResult& split);
 
   /// Builds the new-root snapshot and distributes it (§1.1 root policy);
@@ -157,14 +157,13 @@ class BaseProtocol : public ProtocolHandler {
     return PlaceNewNode(sibling_id, splitting.level());
   }
 
-  /// Which node receives the (sep -> sibling) insert after a split.
-  /// Defaults to the stored parent pointer (staleness is recovered by
-  /// right-forwarding); the variable-copies protocol prefers a local
-  /// path copy, keeping restructuring local (§1.1).
-  virtual NodeId SplitParentTarget(const Node& node, Key sep) {
-    (void)sep;
-    return node.parent();
-  }
+  /// Which node receives the (sep -> sibling) insert after a split: the
+  /// local copy at level()+1 covering `sep`, found by descending from the
+  /// local root hint through local copies (right link while sep >=
+  /// right_low, else ChildFor). The stored parent pointer is only the
+  /// fallback, when the hint is too low or the path leaves this
+  /// processor: siblings inherit it at HalfSplit and nothing refreshes it.
+  NodeId SplitParentTarget(const Node& node, Key sep);
 
   /// Distributes a sibling snapshot to its copy holders (installing the
   /// local one directly).

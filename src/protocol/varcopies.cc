@@ -34,20 +34,6 @@ std::vector<ProcessorId> VarCopiesProtocol::PlaceSibling(
   return copies;
 }
 
-NodeId VarCopiesProtocol::SplitParentTarget(const Node& node, Key sep) {
-  // Fig.-2 invariant: we replicate the whole path above our leaves, so a
-  // local copy of the geometric parent normally exists — using it keeps
-  // the pointer insert local even when the stored parent pointer is
-  // stale (e.g. a migrated leaf created under a long-split ancestor).
-  NodeId best = node.parent();
-  p_.store().ForEach([&](const Node& cand) {
-    if (cand.level() == node.level() + 1 && cand.Contains(sep)) {
-      best = cand.id();
-    }
-  });
-  return best;
-}
-
 void VarCopiesProtocol::HandleInitialInsert(Action a) {
   Node* n = Local(a.target);
   if (n == nullptr) {

@@ -78,7 +78,6 @@ class VarCopiesProtocol : public MobileProtocol {
   std::vector<ProcessorId> PlaceNewNode(NodeId id, int32_t level) override;
   std::vector<ProcessorId> PlaceSibling(const Node& splitting,
                                         NodeId sibling_id) override;
-  NodeId SplitParentTarget(const Node& node, Key sep) override;
 
   void HandleInitialInsert(Action a) override;
   void HandleRelayedInsert(Action a) override;

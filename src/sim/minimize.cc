@@ -99,7 +99,9 @@ StatusOr<MinimizeResult> MinimizeTrace(const EpisodeConfig& config,
   }
 
   out.trace = BuildCandidate(trace, interesting, keep);
-  out.trace.meta["minimized"] = "1";
+  // A std::string, not a literal: GCC 12 flags assigning "1" here with a
+  // false -Wrestrict.
+  out.trace.meta["minimized"] = std::string("1");
   out.trace.meta["failure"] = out.signature;
   out.final_faults = kept;
 

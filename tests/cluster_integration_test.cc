@@ -253,5 +253,62 @@ TEST(ClusterBasics, PartialInteriorReplication) {
   ExpectCorrect(cluster);
 }
 
+// A split's (sep -> sibling) insert must reach the parent level through
+// the local interior copies in about one visit. Following the sibling's
+// inherited parent pointer instead chases right links across every later
+// split of the parent level: several kInsert sends per client insert at
+// this size, growing with the tree.
+struct SplitParentCase {
+  ProtocolKind protocol;
+  uint32_t interior_replication;
+};
+
+class SplitParentRoutingTest
+    : public ::testing::TestWithParam<SplitParentCase> {};
+
+TEST_P(SplitParentRoutingTest, SeparatorInsertsStayLocalAndMatchOracle) {
+  const auto& param = GetParam();
+  constexpr uint32_t kProcessors = 8;
+  ClusterOptions o =
+      SimOptions(param.protocol, kProcessors, 5, /*fanout=*/8);
+  o.tree.interior_replication = param.interior_replication;
+  Cluster cluster(o);
+  cluster.Start();
+  Oracle oracle;
+  const std::vector<Key> keys = RandomKeys(5000, 41);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    cluster.InsertAsync(static_cast<ProcessorId>(i % kProcessors), keys[i],
+                        keys[i] + 5, [](const OpResult& r) {
+                          EXPECT_TRUE(r.status.ok());
+                        });
+    ASSERT_TRUE(oracle.Insert(keys[i], keys[i] + 5).ok());
+    if (i % 512 == 511) {
+      ASSERT_TRUE(cluster.Settle());
+    }
+  }
+  ASSERT_TRUE(cluster.Settle());
+  if (param.interior_replication == 0) {
+    const double per_insert =
+        static_cast<double>(cluster.NetStats().ActionCount(
+            ActionKind::kInsert)) /
+        static_cast<double>(keys.size());
+    EXPECT_LE(per_insert, 1.0) << "separator inserts chase right links";
+  }
+  const std::vector<std::string> structure = cluster.CheckTreeStructure();
+  EXPECT_TRUE(structure.empty()) << structure.front();
+  ExpectMatchesOracle(cluster, oracle);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FullAndPartialInteriors, SplitParentRoutingTest,
+    ::testing::Values(SplitParentCase{ProtocolKind::kSyncSplit, 0},
+                      SplitParentCase{ProtocolKind::kSemiSyncSplit, 0},
+                      SplitParentCase{ProtocolKind::kSyncSplit, 2},
+                      SplitParentCase{ProtocolKind::kSemiSyncSplit, 2}),
+    [](const ::testing::TestParamInfo<SplitParentCase>& pinfo) {
+      return std::string(ProtocolKindName(pinfo.param.protocol)) +
+             "_interior" + std::to_string(pinfo.param.interior_replication);
+    });
+
 }  // namespace
 }  // namespace lazytree

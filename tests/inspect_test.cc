@@ -56,7 +56,7 @@ TEST(DotExport, ContainsEveryNodeAndValidStructure) {
   EXPECT_EQ(dot.back(), '\n');
   // Every logical node appears.
   for (auto& [key, snap] : cluster.CollectCopies()) {
-    EXPECT_NE(dot.find("\"" + key.node.ToString() + "\""),
+    EXPECT_NE(dot.find('"' + key.node.ToString() + '"'),
               std::string::npos)
         << key.node.ToString();
   }

@@ -364,8 +364,8 @@ INSTANTIATE_TEST_SUITE_P(
                       TransportUnderTest::kThreadChecked,
                       TransportUnderTest::kSimLossy,
                       TransportUnderTest::kThreadLossy),
-    [](const ::testing::TestParamInfo<TransportUnderTest>& info) {
-      return TransportName(info.param);
+    [](const ::testing::TestParamInfo<TransportUnderTest>& pinfo) {
+      return TransportName(pinfo.param);
     });
 
 }  // namespace
