@@ -11,7 +11,8 @@
 //   ycsb-d  95% read /  5% insert            latest (completed-insert ring)
 //   ycsb-e  95% scan /  5% insert            zipfian, scan limit 16
 //   ycsb-f  50% read / 50% read-modify-write zipfian
-//   hotspot-shift  95/5 read/update, hot 5% region jumps mid-run
+//   hotspot-shift  95/5 read/update, hot 5% of loaded keys jumps mid-run
+//   hotspot-shift-miss  the same over the whole key space (mostly misses)
 //   churn   50% read / 25% insert / 25% delete over a small key space
 //
 // Reported per row: ops/sec, p50/p95/p99/p999 latency (µs — wall clock on
@@ -20,6 +21,7 @@
 // emits the machine-readable battery (BENCH_PR7.json via the
 // `lazytree_bench` target) including the 1→16-thread ycsb-c scaling grid
 // and the combine/fastpath ablation. `--smoke` is the CI-sized run.
+// Every hotspot-shift row CHECK-fails below a 90% read hit ratio.
 
 #include <algorithm>
 #include <atomic>
@@ -27,12 +29,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/cluster.h"
 #include "src/util/affinity.h"
+#include "src/util/logging.h"
 #include "src/workload/distributions.h"
 
 namespace lazytree::bench {
@@ -43,7 +47,7 @@ constexpr Key kSpace = 1ull << 30;
 struct Spec {
   const char* name;
   double read, update, insert, rmw, scan, del;
-  const char* dist;  // zipfian | latest | uniform | hotspot-shift
+  const char* dist;  // zipfian | latest | uniform | hotspot-shift[-miss]
 };
 
 const Spec kSpecs[] = {
@@ -55,30 +59,37 @@ const Spec kSpecs[] = {
     {"ycsb-f", 0.50, 0.00, 0.00, 0.50, 0.00, 0.00, "zipfian"},
     {"hotspot-shift", 0.95, 0.05, 0.00, 0.00, 0.00, 0.00,
      "hotspot-shift"},
+    {"hotspot-shift-miss", 0.95, 0.05, 0.00, 0.00, 0.00, 0.00,
+     "hotspot-shift-miss"},
     {"churn", 0.50, 0.00, 0.25, 0.00, 0.00, 0.25, "uniform"},
 };
 
-/// Hotspot whose hot 5% region jumps to the far half of the key space
+/// Hotspot whose hot 5% region jumps to the far half of its universe
 /// once half the run's operations have completed — the skew-migration
 /// stressor (ROADMAP item 2): the replicas that were hot go cold and a
-/// cold path must absorb the herd.
+/// cold path must absorb the herd. Draws come from [1, n); with `ranks`
+/// they are loaded zipf ranks mapped to their keys (every read hits),
+/// without it raw keys of the whole space (nearly every read misses).
 class ShiftingHotspotDist : public workload::KeyDistribution {
  public:
-  ShiftingHotspotDist(Key space, const std::atomic<uint64_t>* progress,
+  ShiftingHotspotDist(Key n, const workload::ZipfianDist* ranks,
+                      const std::atomic<uint64_t>* progress,
                       uint64_t total_ops)
-      : space_(space), progress_(progress), total_ops_(total_ops) {}
+      : n_(n), ranks_(ranks), progress_(progress), total_ops_(total_ops) {}
   Key Next(Rng& rng) override {
-    const Key span = space_ / 20;
+    const Key span = n_ / 20;
     const bool shifted =
         progress_->load(std::memory_order_relaxed) >= total_ops_ / 2;
-    const Key base = shifted ? space_ / 2 : 1;
-    if (rng.Chance(0.9)) return base + rng.Below(span);
-    return 1 + rng.Below(space_ - 1);
+    const Key base = shifted ? n_ / 2 : 1;
+    const Key v = rng.Chance(0.9) ? base + rng.Below(span)
+                                  : 1 + rng.Below(n_ - 1);
+    return ranks_ != nullptr ? ranks_->KeyForRank(v) : v;
   }
   const char* name() const override { return "hotspot-shift"; }
 
  private:
-  Key space_;
+  Key n_;
+  const workload::ZipfianDist* ranks_;
   const std::atomic<uint64_t>* progress_;
   uint64_t total_ops_;
 };
@@ -105,19 +116,22 @@ struct ScenarioCtx {
         zipf(rec, kSpace),
         latest(kSpace),
         uniform(s.dist == std::string("uniform") ? rec * 2 : kSpace),
-        shift(kSpace, &progress, n) {}
+        shift(s.dist == std::string("hotspot-shift") ? rec + 1 : kSpace,
+              s.dist == std::string("hotspot-shift") ? &zipf : nullptr,
+              &progress, n) {}
 
   Key NextKey(Rng& rng) {
     if (std::strcmp(spec->dist, "zipfian") == 0) return zipf.Next(rng);
     if (std::strcmp(spec->dist, "latest") == 0) return latest.Next(rng);
-    if (std::strcmp(spec->dist, "hotspot-shift") == 0)
+    if (std::string_view(spec->dist).starts_with("hotspot-shift")) {
       return shift.Next(rng);
+    }
     return uniform.Next(rng);
   }
 
   Key LoadKey(size_t i, Rng& rng) {
     if (std::strcmp(spec->dist, "zipfian") == 0 ||
-        std::strcmp(spec->dist, "hotspot-shift") == 0) {
+        std::string_view(spec->dist).starts_with("hotspot-shift")) {
       // Loaded keys are exactly the zipfian rank universe, so run-phase
       // reads always address loaded records.
       return zipf.KeyForRank(1 + (i % records));
@@ -142,7 +156,14 @@ struct Totals {
   uint64_t not_found = 0;
   uint64_t failed = 0;
   uint64_t completed = 0;
+  uint64_t reads = 0;
+  uint64_t read_hits = 0;
 
+  void CountRead(const Status& st) {
+    ++reads;
+    if (st.ok()) ++read_hits;
+    Count(st);
+  }
   void Count(const Status& st) {
     ++completed;
     if (st.ok()) return;
@@ -157,6 +178,8 @@ struct Totals {
     not_found += o.not_found;
     failed += o.failed;
     completed += o.completed;
+    reads += o.reads;
+    read_hits += o.read_hits;
   }
 };
 
@@ -170,6 +193,7 @@ struct Row {
   double fastpath_per_op = 0;
   double load_seconds = 0;
   uint64_t completed = 0, not_found = 0, failed = 0;
+  uint64_t reads = 0, read_hits = 0;
 };
 
 ClusterOptions MakeOptions(bool threads, uint32_t procs, uint64_t seed,
@@ -231,7 +255,7 @@ void ThreadClientLoop(Cluster& cluster, ScenarioCtx& ctx, int client,
     const uint64_t t0 = NowNanos();
     if (u < s.read) {
       StatusOr<Value> r = cluster.Search(home, ctx.NextKey(rng));
-      t.Count(r.status());
+      t.CountRead(r.status());
     } else if (u < s.read + s.update) {
       t.Count(cluster.Insert(home, ctx.NextKey(rng), i));
     } else if (u < s.read + s.update + s.insert) {
@@ -300,6 +324,8 @@ Row RunThreadsScenario(const Spec& spec, size_t records, size_t ops,
   row.completed = totals.completed;
   row.not_found = totals.not_found;
   row.failed = totals.failed;
+  row.reads = totals.reads;
+  row.read_hits = totals.read_hits;
   return row;
 }
 
@@ -312,9 +338,13 @@ struct SimScenarioDriver {
   size_t remaining;
   Totals* totals;
 
-  void Finish(uint64_t t0, const Status& st) {
+  void Finish(uint64_t t0, const Status& st, bool read = false) {
     totals->lat_us.Record(cluster->sim()->NowUs() - t0);
-    totals->Count(st);
+    if (read) {
+      totals->CountRead(st);
+    } else {
+      totals->Count(st);
+    }
     ctx->progress.fetch_add(1, std::memory_order_relaxed);
     LaunchOne();
   }
@@ -330,7 +360,7 @@ struct SimScenarioDriver {
     if (u < s.read) {
       cluster->SearchAsync(home, ctx->NextKey(rng),
                            [this, t0](const OpResult& r) {
-                             Finish(t0, r.status);
+                             Finish(t0, r.status, /*read=*/true);
                            });
     } else if (u < s.read + s.update) {
       cluster->InsertAsync(home, ctx->NextKey(rng), 1,
@@ -402,6 +432,8 @@ Row RunSimScenario(const Spec& spec, size_t records, size_t ops,
   row.completed = totals.completed;
   row.not_found = totals.not_found;
   row.failed = totals.failed;
+  row.reads = totals.reads;
+  row.read_hits = totals.read_hits;
   return row;
 }
 
@@ -538,9 +570,10 @@ int Run(int argc, char** argv) {
               records, ops, procs, AvailableCpus());
 
   BatteryResult result;
-  const size_t n_specs =
-      smoke ? 3 : sizeof(kSpecs) / sizeof(kSpecs[0]);
-  const Spec* smoke_specs[] = {&kSpecs[0], &kSpecs[2], &kSpecs[3]};
+  const Spec* smoke_specs[] = {&kSpecs[0], &kSpecs[2], &kSpecs[3],
+                               &kSpecs[6]};
+  const size_t n_specs = smoke ? sizeof(smoke_specs) / sizeof(smoke_specs[0])
+                               : sizeof(kSpecs) / sizeof(kSpecs[0]);
   for (size_t i = 0; i < n_specs; ++i) {
     const Spec& spec = smoke ? *smoke_specs[i] : kSpecs[i];
     result.battery.push_back(
@@ -551,6 +584,13 @@ int Run(int argc, char** argv) {
   }
   std::printf("\n");
   PrintRows(result.battery);
+  for (const Row& r : result.battery) {
+    // hotspot-shift reads loaded keys only, so nearly every read hits.
+    if (r.scenario != "hotspot-shift") continue;
+    LAZYTREE_CHECK(r.read_hits >= 0.9 * static_cast<double>(r.reads))
+        << r.scenario << " on " << r.transport << ": " << r.read_hits
+        << " of " << r.reads << " reads hit";
+  }
 
   // Scaling grid: search-heavy ycsb-c, threads transport, 1 -> 16
   // processor threads (one client per processor).

@@ -31,8 +31,9 @@ struct Message {
   std::vector<Action> actions;
 
   Message() = default;
-  Message(ProcessorId f, ProcessorId t, Action a)
-      : from(f), to(t), actions{std::move(a)} {}
+  Message(ProcessorId f, ProcessorId t, Action a) : from(f), to(t) {
+    actions.push_back(std::move(a));  // an initializer_list would copy it
+  }
 
   std::string ToString() const;
 };

@@ -13,26 +13,15 @@ void Writer::PutVarint(uint64_t v) {
 
 void Writer::PutFixed8(uint8_t v) { buf_.push_back(v); }
 
-StatusOr<uint64_t> Reader::GetVarint() {
+uint64_t Reader::VarintSlow() {
   uint64_t result = 0;
   for (int shift = 0; shift <= 63; shift += 7) {
-    if (pos_ >= size_) return Status::InvalidArgument("truncated varint");
+    if (pos_ >= size_) return Fail("truncated varint");
     uint8_t byte = data_[pos_++];
     result |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return result;
   }
-  return Status::InvalidArgument("varint too long");
-}
-
-StatusOr<uint8_t> Reader::GetFixed8() {
-  if (pos_ >= size_) return Status::InvalidArgument("truncated byte");
-  return data_[pos_++];
-}
-
-StatusOr<bool> Reader::GetBool() {
-  auto b = GetFixed8();
-  if (!b.ok()) return b.status();
-  return *b != 0;
+  return Fail("varint too long");
 }
 
 namespace {
@@ -177,110 +166,81 @@ size_t EncodedSize(const Message& m) {
 
 StatusOr<NodeSnapshot> DecodeSnapshot(Reader& r) {
   NodeSnapshot s;
-  auto present = r.GetBool();
-  if (!present.ok()) return present.status();
-  if (!*present) return s;
-
-#define LT_GET(var, expr)                   \
-  do {                                      \
-    auto _v = (expr);                       \
-    if (!_v.ok()) return _v.status();       \
-    var = *_v;                              \
-  } while (0)
-
-  uint64_t tmp;
-  LT_GET(s.id.v, r.GetVarint());
-  LT_GET(tmp, r.GetVarint());
-  s.level = static_cast<int32_t>(tmp);
-  LT_GET(s.range.low, r.GetVarint());
-  LT_GET(s.range.high, r.GetVarint());
-  LT_GET(s.version, r.GetVarint());
-  LT_GET(s.right.v, r.GetVarint());
-  LT_GET(s.right_low, r.GetVarint());
-  LT_GET(s.left.v, r.GetVarint());
-  LT_GET(s.parent.v, r.GetVarint());
-  for (Version& v : s.link_versions) LT_GET(v, r.GetVarint());
-  uint64_t n;
-  LT_GET(n, r.GetVarint());
-  s.entries.resize(n);
+  const bool present = r.Bool();
+  if (!r.ok()) return r.status();
+  if (!present) return s;
+  s.id.v = r.Varint();
+  s.level = static_cast<int32_t>(r.Varint());
+  s.range.low = r.Varint();
+  s.range.high = r.Varint();
+  s.version = r.Varint();
+  s.right.v = r.Varint();
+  s.right_low = r.Varint();
+  s.left.v = r.Varint();
+  s.parent.v = r.Varint();
+  for (Version& v : s.link_versions) v = r.Varint();
+  s.entries.resize(r.Count());
+  if (!r.ok()) return r.status();
   Key prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t delta;
-    LT_GET(delta, r.GetVarint());
-    prev += delta;
-    s.entries[i].key = prev;
-    LT_GET(s.entries[i].payload, r.GetVarint());
+  for (Entry& e : s.entries) {
+    prev += r.Varint();
+    e.key = prev;
+    e.payload = r.Varint();
   }
-  LT_GET(n, r.GetVarint());
-  s.copies.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    LT_GET(tmp, r.GetVarint());
-    s.copies[i] = static_cast<ProcessorId>(tmp);
-  }
-  LT_GET(tmp, r.GetVarint());
-  s.pc = tmp == 0 ? kInvalidProcessor : static_cast<ProcessorId>(tmp - 1);
-  LT_GET(n, r.GetVarint());
-  s.applied_updates.resize(n);
-  for (uint64_t i = 0; i < n; ++i) LT_GET(s.applied_updates[i], r.GetVarint());
+  s.copies.resize(r.Count());
+  if (!r.ok()) return r.status();
+  for (ProcessorId& p : s.copies) p = static_cast<ProcessorId>(r.Varint());
+  const uint64_t pc = r.Varint();
+  s.pc = pc == 0 ? kInvalidProcessor : static_cast<ProcessorId>(pc - 1);
+  s.applied_updates.resize(r.Count());
+  if (!r.ok()) return r.status();
+  for (UpdateId& u : s.applied_updates) u = r.Varint();
+  if (!r.ok()) return r.status();
   return s;
 }
 
 StatusOr<Action> DecodeAction(Reader& r) {
   Action a;
-  uint64_t tmp;
-  auto kind = r.GetFixed8();
-  if (!kind.ok()) return kind.status();
-  if (*kind == 0 || *kind >= static_cast<uint8_t>(ActionKind::kMaxKind)) {
+  const uint8_t kind = r.Fixed8();
+  if (!r.ok()) return r.status();
+  if (kind == 0 || kind >= static_cast<uint8_t>(ActionKind::kMaxKind)) {
     return Status::InvalidArgument("unknown action kind");
   }
-  a.kind = static_cast<ActionKind>(*kind);
-  LT_GET(a.target.v, r.GetVarint());
-  LT_GET(a.op, r.GetVarint());
-  LT_GET(a.update, r.GetVarint());
-  LT_GET(a.key, r.GetVarint());
-  LT_GET(a.value, r.GetVarint());
-  LT_GET(a.found, r.GetBool());
-  {
-    auto rc = r.GetFixed8();
-    if (!rc.ok()) return rc.status();
-    if (*rc > static_cast<uint8_t>(Action::Rc::kExists)) {
-      return Status::InvalidArgument("bad rc");
-    }
-    a.rc = static_cast<Action::Rc>(*rc);
+  a.kind = static_cast<ActionKind>(kind);
+  a.target.v = r.Varint();
+  a.op = r.Varint();
+  a.update = r.Varint();
+  a.key = r.Varint();
+  a.value = r.Varint();
+  a.found = r.Bool();
+  const uint8_t rc = r.Fixed8();
+  if (rc > static_cast<uint8_t>(Action::Rc::kExists)) {
+    return Status::InvalidArgument("bad rc");
   }
-  LT_GET(a.version, r.GetVarint());
-  LT_GET(tmp, r.GetVarint());
-  a.origin = tmp == 0 ? kInvalidProcessor : static_cast<ProcessorId>(tmp - 1);
-  LT_GET(tmp, r.GetVarint());
-  a.level = static_cast<int32_t>(tmp) - 1;
-  LT_GET(tmp, r.GetVarint());
-  a.hops = static_cast<uint32_t>(tmp);
-  LT_GET(a.new_node.v, r.GetVarint());
-  LT_GET(a.sep, r.GetVarint());
-  auto link = r.GetFixed8();
-  if (!link.ok()) return link.status();
-  if (*link > static_cast<uint8_t>(LinkKind::kParent)) {
+  a.rc = static_cast<Action::Rc>(rc);
+  a.version = r.Varint();
+  const uint64_t origin = r.Varint();
+  a.origin =
+      origin == 0 ? kInvalidProcessor : static_cast<ProcessorId>(origin - 1);
+  a.level = static_cast<int32_t>(r.Varint()) - 1;
+  a.hops = static_cast<uint32_t>(r.Varint());
+  a.new_node.v = r.Varint();
+  a.sep = r.Varint();
+  const uint8_t link = r.Fixed8();
+  if (link > static_cast<uint8_t>(LinkKind::kParent)) {
     return Status::InvalidArgument("bad link kind");
   }
-  a.link = static_cast<LinkKind>(*link);
-  uint64_t n;
-  LT_GET(n, r.GetVarint());
-  a.members.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    LT_GET(tmp, r.GetVarint());
-    a.members[i] = static_cast<ProcessorId>(tmp);
-  }
-  LT_GET(n, r.GetVarint());
-  a.range_results.resize(n);
-  {
-    Key prev = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t delta;
-      LT_GET(delta, r.GetVarint());
-      prev += delta;
-      a.range_results[i].key = prev;
-      LT_GET(a.range_results[i].payload, r.GetVarint());
-    }
+  a.link = static_cast<LinkKind>(link);
+  a.members.resize(r.Count());
+  if (!r.ok()) return r.status();
+  for (ProcessorId& p : a.members) p = static_cast<ProcessorId>(r.Varint());
+  a.range_results.resize(r.Count());
+  if (!r.ok()) return r.status();
+  Key prev = 0;
+  for (Entry& e : a.range_results) {
+    prev += r.Varint();
+    e.key = prev;
+    e.payload = r.Varint();
   }
   auto snap = DecodeSnapshot(r);
   if (!snap.ok()) return snap.status();
@@ -291,16 +251,15 @@ StatusOr<Action> DecodeAction(Reader& r) {
 StatusOr<Message> DecodeMessage(const std::vector<uint8_t>& bytes) {
   Reader r(bytes);
   Message m;
-  uint64_t tmp;
-  LT_GET(tmp, r.GetVarint());
-  m.from = tmp == 0 ? kInvalidProcessor : static_cast<ProcessorId>(tmp - 1);
-  LT_GET(tmp, r.GetVarint());
-  m.to = tmp == 0 ? kInvalidProcessor : static_cast<ProcessorId>(tmp - 1);
-  LT_GET(m.seq, r.GetVarint());
-  LT_GET(m.ack, r.GetVarint());
-  LT_GET(m.flags, r.GetFixed8());
-  uint64_t n;
-  LT_GET(n, r.GetVarint());
+  const uint64_t from = r.Varint();
+  m.from = from == 0 ? kInvalidProcessor : static_cast<ProcessorId>(from - 1);
+  const uint64_t to = r.Varint();
+  m.to = to == 0 ? kInvalidProcessor : static_cast<ProcessorId>(to - 1);
+  m.seq = r.Varint();
+  m.ack = r.Varint();
+  m.flags = r.Fixed8();
+  const uint64_t n = r.Count();
+  if (!r.ok()) return r.status();
   m.actions.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     auto a = DecodeAction(r);
@@ -309,7 +268,6 @@ StatusOr<Message> DecodeMessage(const std::vector<uint8_t>& bytes) {
   }
   if (!r.AtEnd()) return Status::InvalidArgument("trailing bytes");
   return m;
-#undef LT_GET
 }
 
 }  // namespace wire

@@ -34,21 +34,49 @@ class Writer {
   std::vector<uint8_t> buf_;
 };
 
-/// Bounds-checked byte source.
+/// Bounds-checked byte source. A read past the end or a malformed varint
+/// returns 0 and latches a sticky failure (ok() turns false, every later
+/// read returns 0), so decoders read a run of fields and check once.
 class Reader {
  public:
   explicit Reader(const std::vector<uint8_t>& buf)
       : data_(buf.data()), size_(buf.size()) {}
 
-  StatusOr<uint64_t> GetVarint();
-  StatusOr<uint8_t> GetFixed8();
-  StatusOr<bool> GetBool();
+  uint64_t Varint() {
+    if (pos_ < size_ && data_[pos_] < 0x80) return data_[pos_++];
+    return VarintSlow();
+  }
+  uint8_t Fixed8() {
+    if (pos_ < size_) return data_[pos_++];
+    return Fail("truncated byte");
+  }
+  bool Bool() { return Fixed8() != 0; }
+  /// An element count. Every element takes at least one byte, so a count
+  /// above the bytes left fails instead of driving a huge allocation.
+  uint64_t Count() {
+    const uint64_t n = Varint();
+    return n <= size_ - pos_ ? n : Fail("count exceeds remaining bytes");
+  }
+
+  bool ok() const { return error_ == nullptr; }
+  /// InvalidArgument naming the first failure (OK while ok()).
+  Status status() const {
+    return ok() ? Status::OK() : Status::InvalidArgument(error_);
+  }
   bool AtEnd() const { return pos_ == size_; }
 
  private:
+  uint64_t VarintSlow();
+  uint8_t Fail(const char* why) {
+    if (error_ == nullptr) error_ = why;
+    pos_ = size_;
+    return 0;
+  }
+
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
+  const char* error_ = nullptr;
 };
 
 /// Encodes a full message (envelope + all actions).

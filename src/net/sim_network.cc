@@ -1,5 +1,8 @@
 #include "src/net/sim_network.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "src/msg/wire.h"
 #include "src/util/logging.h"
 
@@ -26,6 +29,10 @@ void SimNetwork::Register(ProcessorId id, Receiver* receiver) {
   if (receivers_.size() <= id) receivers_.resize(id + 1, nullptr);
   LAZYTREE_CHECK(receivers_[id] == nullptr) << "double register p" << id;
   receivers_[id] = receiver;
+  // Growing the FIFO clamp table re-indexes it, which is only safe
+  // before the first timed send.
+  LAZYTREE_CHECK(event_seq_ == 0) << "register p" << id << " after a send";
+  last_arrival_.assign(receivers_.size() * receivers_.size(), 0);
 }
 
 ProcessorId SimNetwork::size() const {
@@ -69,15 +76,18 @@ void SimNetwork::Send(Message m) {
   std::vector<uint8_t> encoded = wire::EncodeMessage(m);
   stats_.OnSend(m, encoded.size());
   if (latency_mode_) {
+    LAZYTREE_CHECK(m.from < receivers_.size())
+        << "send from unregistered p" << m.from;
     uint64_t latency =
         m.from == m.to
             ? local_us_
             : base_us_ + (jitter_us_ ? rng_.Below(jitter_us_ + 1) : 0);
-    uint64_t& last = last_arrival_[{m.from, m.to}];
+    uint64_t& last = last_arrival_[m.from * receivers_.size() + m.to];
     uint64_t arrival = std::max(now_us_ + latency, last);  // FIFO clamp
     last = arrival;
-    timeline_.push(TimedEvent{arrival, event_seq_++, m.to,
-                              std::move(encoded)});
+    timeline_.push_back(TimedEvent{arrival, event_seq_++, m.from, m.to,
+                                   std::move(encoded)});
+    std::push_heap(timeline_.begin(), timeline_.end(), std::greater<>());
     ++pending_;
     return;
   }
@@ -89,48 +99,41 @@ void SimNetwork::Send(Message m) {
 bool SimNetwork::Step() {
   if (pending_ == 0) return false;
   LAZYTREE_CHECK(!in_step_) << "reentrant Step";
+  std::pair<ProcessorId, ProcessorId> pick;
+  std::vector<uint8_t> encoded;
   if (latency_mode_) {
-    TimedEvent event = timeline_.top();
-    timeline_.pop();
-    --pending_;
-    now_us_ = std::max(now_us_, event.arrival_us);
-    if (drop_prob_ > 0 && rng_.Chance(drop_prob_)) {
-      ++dropped_;
-      return true;
-    }
-    auto decoded = wire::DecodeMessage(event.encoded);
-    LAZYTREE_CHECK(decoded.ok())
-        << "wire corruption: " << decoded.status().ToString();
-    ++delivered_;
-    in_step_ = true;
-    receivers_[event.to]->Deliver(std::move(*decoded));
-    in_step_ = false;
-    return true;
-  }
-  nonempty_.clear();
-  for (auto& [key, ch] : channels_) {
-    if (!ch.Empty()) nonempty_.push_back(key);
-  }
-  LAZYTREE_CHECK(!nonempty_.empty()) << "pending_ out of sync";
-  size_t index;
-  if (strategy_ != nullptr) {
-    views_.clear();
-    for (const auto& [from, to] : nonempty_) {
-      views_.push_back(ChannelView{from, to, channels_[{from, to}].Size()});
-    }
-    index = strategy_->PickChannel(views_);
-    LAZYTREE_CHECK(index < nonempty_.size())
-        << "strategy picked channel " << index << " of "
-        << nonempty_.size();
+    std::pop_heap(timeline_.begin(), timeline_.end(), std::greater<>());
+    TimedEvent& head = timeline_.back();
+    pick = {head.from, head.to};
+    encoded = std::move(head.encoded);
+    now_us_ = std::max(now_us_, head.arrival_us);
+    timeline_.pop_back();
   } else {
-    index = rng_.Below(nonempty_.size());
+    nonempty_.clear();
+    for (auto& [key, ch] : channels_) {
+      if (!ch.Empty()) nonempty_.push_back(key);
+    }
+    LAZYTREE_CHECK(!nonempty_.empty()) << "pending_ out of sync";
+    size_t index;
+    if (strategy_ != nullptr) {
+      views_.clear();
+      for (const auto& [from, to] : nonempty_) {
+        views_.push_back(ChannelView{from, to, channels_[{from, to}].Size()});
+      }
+      index = strategy_->PickChannel(views_);
+      LAZYTREE_CHECK(index < nonempty_.size())
+          << "strategy picked channel " << index << " of "
+          << nonempty_.size();
+    } else {
+      index = rng_.Below(nonempty_.size());
+    }
+    pick = nonempty_[index];
+    Channel& channel = channels_[pick];
+    if (mutation_ == ScheduleMutation::kSwapOrdered && !mutation_applied_) {
+      mutation_applied_ = MaybeSwapOrdered(channel);
+    }
+    encoded = channel.Pop();
   }
-  const auto& pick = nonempty_[index];
-  Channel& channel = channels_[pick];
-  if (mutation_ == ScheduleMutation::kSwapOrdered && !mutation_applied_) {
-    mutation_applied_ = MaybeSwapOrdered(channel);
-  }
-  std::vector<uint8_t> encoded = channel.Pop();
   --pending_;
 
   // Resolve the message's fate: a crashed destination always drops; a
@@ -178,12 +181,12 @@ bool SimNetwork::Step() {
   }
   ++delivered_;
   in_step_ = true;
-  receivers_[pick.second]->Deliver(*decoded);
   if (dup) {
+    receivers_[pick.second]->Deliver(*decoded);
     ++duplicated_;  // injected fault: delivered twice
     ++delivered_;
-    receivers_[pick.second]->Deliver(std::move(*decoded));
   }
+  receivers_[pick.second]->Deliver(std::move(*decoded));
   in_step_ = false;
   return true;
 }

@@ -11,7 +11,6 @@
 #define LAZYTREE_NET_SIM_NETWORK_H_
 
 #include <map>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -77,6 +76,8 @@ class SimNetwork : public Network {
   /// (reliable, exactly-once) so tests can demonstrate that the lazy
   /// protocols depend on it. Each delivered message is dropped with
   /// `drop` probability or delivered twice with `duplicate` probability.
+  /// Self-sends are never faulted. Both modes apply the same rules, and
+  /// draw from the scheduler PRNG only while a probability is nonzero.
   void InjectFaults(double drop, double duplicate) {
     drop_prob_ = drop;
     dup_prob_ = duplicate;
@@ -145,6 +146,7 @@ class SimNetwork : public Network {
   struct TimedEvent {
     uint64_t arrival_us;
     uint64_t seq;  // tie-breaker keeps the order deterministic
+    ProcessorId from;
     ProcessorId to;
     std::vector<uint8_t> encoded;
     bool operator>(const TimedEvent& other) const {
@@ -159,10 +161,10 @@ class SimNetwork : public Network {
   uint64_t local_us_ = 0;
   uint64_t now_us_ = 0;
   uint64_t event_seq_ = 0;
-  std::map<std::pair<ProcessorId, ProcessorId>, uint64_t> last_arrival_;
-  std::priority_queue<TimedEvent, std::vector<TimedEvent>,
-                      std::greater<TimedEvent>>
-      timeline_;
+  std::vector<uint64_t> last_arrival_;  // [from * size() + to]
+  // Min-heap on (arrival, seq) under std::push_heap / std::pop_heap, so
+  // Step can move the popped event's bytes out.
+  std::vector<TimedEvent> timeline_;
 };
 
 }  // namespace lazytree::net

@@ -5,30 +5,25 @@
 namespace lazytree {
 
 Node* NodeStore::Install(std::unique_ptr<Node> node) {
-  NodeId id = node->id();
+  const NodeId id = node->id();
+  LAZYTREE_CHECK(id.creator() < rows_.size())
+      << "install of " << id.ToString() << ": creator out of range";
   forwarding_.erase(id);  // the node is back; any forward is stale
-  auto [it, fresh] = nodes_.insert_or_assign(id, std::move(node));
-  (void)fresh;
-  return it->second.get();
+  auto& row = rows_[id.creator()];
+  if (row.size() <= id.seq()) row.resize(id.seq() + 1);
+  std::unique_ptr<Node>& slot = row[id.seq()];
+  if (slot == nullptr) ++live_;
+  slot = std::move(node);
+  return slot.get();
 }
 
 void NodeStore::Remove(NodeId id, ProcessorId forward_to) {
-  auto it = nodes_.find(id);
-  LAZYTREE_CHECK(it != nodes_.end())
+  LAZYTREE_CHECK(Find(id) != nullptr)
       << "remove of unknown node " << id.ToString();
-  nodes_.erase(it);
+  rows_[id.creator()][id.seq()].reset();
+  --live_;
   if (forward_to != kInvalidProcessor) forwarding_[id] = forward_to;
   // The root hint survives: it names a logical node, not a local copy.
-}
-
-Node* NodeStore::Get(NodeId id) {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
-}
-
-const Node* NodeStore::Get(NodeId id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
 }
 
 ProcessorId NodeStore::Forwarding(NodeId id) const {
@@ -50,10 +45,12 @@ Node* NodeStore::Closest(Key key, int32_t level) {
     if (n.level() != best->level()) return n.level() < best->level();
     return n.range().low > best->range().low;
   };
-  for (auto& [id, node] : nodes_) {
-    if (node->level() < level) continue;
-    if (node->range().low > key) continue;
-    if (better(*node)) best = node.get();
+  for (auto& row : rows_) {
+    for (auto& node : row) {
+      if (node == nullptr || node->level() < level) continue;
+      if (node->range().low > key) continue;
+      if (better(*node)) best = node.get();
+    }
   }
   if (best != nullptr) return best;
   return root_hint_.valid() ? Get(root_hint_) : nullptr;

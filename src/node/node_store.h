@@ -6,6 +6,7 @@
 #define LAZYTREE_NODE_NODE_STORE_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -18,7 +19,12 @@ namespace lazytree {
 
 class NodeStore {
  public:
+  /// `creators` bounds the creator half of every id this store can hold
+  /// (the cluster size: ids are minted by Processor::NewNodeId).
+  explicit NodeStore(uint32_t creators) : rows_(creators) {}
+
   /// Installs a copy. Replaces any dead tombstone with the same id.
+  /// CHECK-fails on a creator outside the bound.
   Node* Install(std::unique_ptr<Node> node);
 
   /// Removes a copy (unjoin / migration away). Optionally records a
@@ -26,8 +32,8 @@ class NodeStore {
   void Remove(NodeId id, ProcessorId forward_to = kInvalidProcessor);
 
   /// Local copy, or nullptr.
-  Node* Get(NodeId id);
-  const Node* Get(NodeId id) const;
+  Node* Get(NodeId id) { return Find(id); }
+  const Node* Get(NodeId id) const { return Find(id); }
 
   /// Forwarding address left by a migrated node, if still retained.
   ProcessorId Forwarding(NodeId id) const;
@@ -55,35 +61,35 @@ class NodeStore {
   /// nullptr when this processor stores nothing at all.
   Node* Closest(Key key, int32_t level);
 
-  size_t size() const { return nodes_.size(); }
+  size_t size() const { return live_; }
 
   /// Drops every copy, forwarding address, and the root hint — a crashed
   /// processor's volatile state. The caller is responsible for recording
   /// the copy deaths with the history log first (Processor::Crash does).
   void Reset() {
-    nodes_.clear();
+    for (auto& row : rows_) row.clear();
+    live_ = 0;
     forwarding_.clear();
     root_hint_ = kInvalidNode;
     root_level_ = -1;
   }
 
-  /// Iteration for snapshot collection at quiescence.
+  /// Visits every local copy in (creator, seq) order, i.e. ascending id.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& [id, node] : nodes_) fn(*node);
+    for (const auto& row : rows_) {
+      for (const auto& node : row) {
+        if (node != nullptr) fn(*node);
+      }
+    }
   }
 
-  /// Folds every local copy (sorted by id, encoded via its snapshot so all
+  /// Folds every local copy (in id order, encoded via its snapshot so all
   /// node fields are covered), forwarding address, and the root hint into
   /// a verifier state fingerprint.
   void MixState(Fingerprint& fp) const {
-    std::vector<const Node*> copies;
-    copies.reserve(nodes_.size());
-    for (const auto& [id, node] : nodes_) copies.push_back(node.get());
-    std::sort(copies.begin(), copies.end(),
-              [](const Node* a, const Node* b) { return a->id() < b->id(); });
-    fp.Mix(copies.size());
-    for (const Node* n : copies) MixSnapshot(fp, n->ToSnapshot());
+    fp.Mix(live_);
+    ForEach([&](const Node& n) { MixSnapshot(fp, n.ToSnapshot()); });
     std::vector<std::pair<NodeId, ProcessorId>> fwd(forwarding_.begin(),
                                                     forwarding_.end());
     std::sort(fwd.begin(), fwd.end());
@@ -97,7 +103,18 @@ class NodeStore {
   }
 
  private:
-  std::unordered_map<NodeId, std::unique_ptr<Node>> nodes_;
+  Node* Find(NodeId id) const {
+    const uint32_t c = id.creator();
+    const uint32_t s = id.seq();
+    if (c >= rows_.size() || s >= rows_[c].size()) return nullptr;
+    return rows_[c][s].get();
+  }
+
+  // Copies indexed [creator][seq]: seq is a dense per-creator counter, so
+  // a row costs one pointer per node its creator has minted (up to the
+  // highest seq installed here), and a lookup is two bounds checks.
+  std::vector<std::vector<std::unique_ptr<Node>>> rows_;
+  size_t live_ = 0;
   std::unordered_map<NodeId, ProcessorId> forwarding_;
   NodeId root_hint_ = kInvalidNode;
   int32_t root_level_ = -1;

@@ -25,7 +25,7 @@ class BaseProtocol : public ProtocolHandler {
  public:
   explicit BaseProtocol(Processor& p);
 
-  void Handle(const Action& action) override;
+  void Handle(Action a) override;
 
   /// Parked actions + PRNG position. Subclasses with extra scratch state
   /// override, call the base, and mix their own (sorted canonically).

@@ -12,6 +12,7 @@ Processor::Processor(ProcessorId id, uint32_t cluster_size,
       config_(config),
       network_(network),
       history_(history),
+      store_(cluster_size),
       out_(id, network),
       ops_(id) {
   network_->Register(id_, this);
@@ -27,7 +28,7 @@ void Processor::Deliver(Message m) {
   // as one message per destination. Nested inside a DeliverBatch scope
   // this is a no-op (only the outermost EndCombine flushes).
   if (config_.combine_ops) out_.BeginCombine();
-  for (Action& action : m.actions) HandleAction(action);
+  for (Action& action : m.actions) HandleAction(std::move(action));
   if (config_.combine_ops) out_.EndCombine();
 }
 
@@ -44,14 +45,14 @@ void Processor::DeliverBatch(std::vector<Message>& batch) {
   out_.EndCombine();
 }
 
-void Processor::HandleAction(Action& action) {
+void Processor::HandleAction(Action action) {
   actions_handled_.fetch_add(1, std::memory_order_relaxed);
   if (action.kind == ActionKind::kReturnValue) {
     CompleteReturnLocal(std::move(action));
     return;
   }
   LAZYTREE_CHECK(handler_ != nullptr) << "no protocol installed on p" << id_;
-  handler_->Handle(action);
+  handler_->Handle(std::move(action));
 }
 
 void Processor::CompleteReturnLocal(Action action) {

@@ -151,7 +151,7 @@ class Processor : public net::Receiver {
   }
 
  private:
-  void HandleAction(Action& action);
+  void HandleAction(Action action);
 
   ProcessorId id_;
   uint32_t cluster_size_;

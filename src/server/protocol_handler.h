@@ -17,7 +17,9 @@ class ProtocolHandler {
 
   /// Executes one action against the local node store. Runs on the
   /// processor's (single) worker thread, so an action on a node is atomic.
-  virtual void Handle(const Action& action) = 0;
+  /// Takes the action by value: handlers mutate its routing fields as it
+  /// travels, and callers move it in.
+  virtual void Handle(Action action) = 0;
 
   /// Folds protocol-private scratch state (parked actions, address tables,
   /// pending ack / join bookkeeping) into a canonical state fingerprint for

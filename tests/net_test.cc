@@ -217,6 +217,41 @@ TEST(SimNetworkLatency, DeterministicPerSeed) {
   EXPECT_EQ(run(9), run(9));
 }
 
+// Latency mode applies queue mode's fault rules: self-sends are never
+// faulted, a duplicate delivers twice, and a crashed destination is a
+// crash drop.
+TEST(SimNetworkLatency, FaultRulesMatchQueueMode) {
+  net::SimNetwork net(3);
+  net.EnableLatency(100, 50);
+  Recorder r0, r1;
+  net.Register(0, &r0);
+  net.Register(1, &r1);
+  net.InjectFaults(/*drop=*/1.0, /*duplicate=*/0);
+  for (Key k = 0; k < 20; ++k) {
+    net.Send(Message(0, 1, KeyedAction(k)));
+    net.Send(Message(1, 1, KeyedAction(100 + k)));
+  }
+  ASSERT_TRUE(net.WaitQuiescent(std::chrono::milliseconds(1000)));
+  EXPECT_EQ(r1.SenderKeys(1).size(), 20u) << "every self-send arrives";
+  EXPECT_EQ(r1.SenderKeys(0).size(), 0u) << "every remote send drops";
+  EXPECT_EQ(net.dropped(), 20u);
+
+  net.InjectFaults(0, /*duplicate=*/1.0);
+  net.Send(Message(0, 0, KeyedAction(7)));
+  net.Send(Message(1, 0, KeyedAction(8)));
+  ASSERT_TRUE(net.WaitQuiescent(std::chrono::milliseconds(1000)));
+  EXPECT_EQ(r0.SenderKeys(0).size(), 1u) << "self-send not duplicated";
+  EXPECT_EQ(r0.SenderKeys(1).size(), 2u) << "remote send delivered twice";
+  EXPECT_EQ(net.duplicated(), 1u);
+
+  net.InjectFaults(0, 0);
+  net.Crash(1);
+  net.Send(Message(0, 1, KeyedAction(9)));
+  ASSERT_TRUE(net.WaitQuiescent(std::chrono::milliseconds(1000)));
+  EXPECT_EQ(net.crash_dropped(), 1u);
+  EXPECT_EQ(r1.total(), 20u) << "nothing reaches a crashed processor";
+}
+
 Action RelayedAction(Key k) {
   Action a;
   a.kind = ActionKind::kRelayedInsert;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/node/node.h"
 #include "src/node/node_store.h"
 
@@ -148,7 +151,7 @@ TEST(Node, CopyMembership) {
 }
 
 TEST(NodeStore, InstallGetRemove) {
-  NodeStore store;
+  NodeStore store(/*creators=*/1);
   store.Install(std::make_unique<Node>(Id(1), 0, KeyRange{}, false));
   EXPECT_NE(store.Get(Id(1)), nullptr);
   EXPECT_EQ(store.Get(Id(2)), nullptr);
@@ -158,8 +161,70 @@ TEST(NodeStore, InstallGetRemove) {
   EXPECT_EQ(store.size(), 0u);
 }
 
+std::unique_ptr<Node> Copy(NodeId id) {
+  return std::make_unique<Node>(id, 0, KeyRange{}, false);
+}
+
+TEST(NodeStore, GetUnknownCreatorOrSeqIsNull) {
+  NodeStore store(/*creators=*/4);
+  store.Install(Copy(NodeId::Make(1, 3)));
+  EXPECT_NE(store.Get(NodeId::Make(1, 3)), nullptr);
+  EXPECT_EQ(store.Get(NodeId::Make(1, 2)), nullptr) << "hole in the row";
+  EXPECT_EQ(store.Get(NodeId::Make(1, 4)), nullptr) << "seq past the row";
+  EXPECT_EQ(store.Get(NodeId::Make(2, 3)), nullptr) << "empty row";
+  EXPECT_EQ(store.Get(NodeId::Make(4, 3)), nullptr) << "creator past bound";
+  EXPECT_EQ(store.Get(NodeId{~0ull}), nullptr);
+  EXPECT_EQ(std::as_const(store).Get(NodeId::Make(9, 1)), nullptr);
+}
+
+TEST(NodeStore, RemoveThenReinstall) {
+  NodeStore store(/*creators=*/2);
+  store.Install(Copy(NodeId::Make(1, 5)));
+  store.Remove(NodeId::Make(1, 5));
+  EXPECT_EQ(store.Get(NodeId::Make(1, 5)), nullptr);
+  Node* again = store.Install(Copy(NodeId::Make(1, 5)));
+  EXPECT_EQ(store.Get(NodeId::Make(1, 5)), again);
+  EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(NodeStore, SizeTracksInstallRemoveAndReset) {
+  NodeStore store(/*creators=*/3);
+  store.Install(Copy(NodeId::Make(0, 1)));
+  store.Install(Copy(NodeId::Make(2, 7)));
+  store.Install(Copy(NodeId::Make(2, 1)));
+  EXPECT_EQ(store.size(), 3u);
+  store.Install(Copy(NodeId::Make(2, 7)));  // replaces: no new copy
+  EXPECT_EQ(store.size(), 3u);
+  store.Remove(NodeId::Make(2, 7));
+  EXPECT_EQ(store.size(), 2u);
+  store.Reset();
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.Get(NodeId::Make(0, 1)), nullptr);
+  store.Install(Copy(NodeId::Make(2, 1)));
+  EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(NodeStore, ForEachVisitsInCreatorSeqOrder) {
+  NodeStore store(/*creators=*/4);
+  const NodeId installs[] = {NodeId::Make(3, 1), NodeId::Make(0, 9),
+                             NodeId::Make(2, 4), NodeId::Make(0, 2),
+                             NodeId::Make(2, 1), NodeId::Make(3, 12)};
+  for (NodeId id : installs) store.Install(Copy(id));
+  store.Remove(NodeId::Make(2, 4));
+  std::vector<NodeId> seen;
+  store.ForEach([&](const Node& n) { seen.push_back(n.id()); });
+  EXPECT_EQ(seen, (std::vector<NodeId>{NodeId::Make(0, 2), NodeId::Make(0, 9),
+                                       NodeId::Make(2, 1), NodeId::Make(3, 1),
+                                       NodeId::Make(3, 12)}));
+}
+
+TEST(NodeStoreDeathTest, InstallRejectsCreatorOutOfRange) {
+  NodeStore store(/*creators=*/2);
+  EXPECT_DEATH(store.Install(Copy(NodeId::Make(2, 1))), "out of range");
+}
+
 TEST(NodeStore, ForwardingAddressesAndGC) {
-  NodeStore store;
+  NodeStore store(/*creators=*/1);
   store.Install(std::make_unique<Node>(Id(1), 0, KeyRange{}, false));
   store.Remove(Id(1), /*forward_to=*/3);
   EXPECT_EQ(store.Forwarding(Id(1)), 3u);
@@ -173,7 +238,7 @@ TEST(NodeStore, ForwardingAddressesAndGC) {
 }
 
 TEST(NodeStore, RootHintIsLevelOrdered) {
-  NodeStore store;
+  NodeStore store(/*creators=*/1);
   store.SetRootHint(Id(1), 1);
   store.SetRootHint(Id(2), 3);
   store.SetRootHint(Id(3), 2);  // lower: ignored
@@ -182,7 +247,7 @@ TEST(NodeStore, RootHintIsLevelOrdered) {
 }
 
 TEST(NodeStore, ClosestPrefersLowestUsableLevel) {
-  NodeStore store;
+  NodeStore store(/*creators=*/1);
   // Level 2 spans everything; level 1 has [0,500) and [500,1000);
   // level 0 has [0,100).
   auto mk = [&](uint32_t seq, int32_t level, Key low, Key high) {

@@ -16,18 +16,20 @@ TEST(Wire, VarintRoundTripEdgeValues) {
   for (uint64_t v : values) w.PutVarint(v);
   std::vector<uint8_t> bytes = w.Take();
   wire::Reader r(bytes);
-  for (uint64_t v : values) {
-    auto got = r.GetVarint();
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, v);
-  }
+  for (uint64_t v : values) EXPECT_EQ(r.Varint(), v);
+  EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.AtEnd());
 }
 
 TEST(Wire, TruncatedVarintFails) {
   std::vector<uint8_t> bytes = {0x80, 0x80};  // continuation, no end
   wire::Reader r(bytes);
-  EXPECT_FALSE(r.GetVarint().ok());
+  EXPECT_EQ(r.Varint(), 0u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.status().ok());
+  // The failure is sticky: later reads return 0 and it stays latched.
+  EXPECT_EQ(r.Fixed8(), 0u);
+  EXPECT_FALSE(r.ok());
 }
 
 Action FullActionFixture() {
@@ -157,6 +159,40 @@ TEST(Wire, RejectsUnknownKindAndTrailingBytes) {
     std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + cut);
     EXPECT_FALSE(wire::DecodeMessage(prefix).ok()) << "cut=" << cut;
   }
+}
+
+// A corrupt element count must fail decoding, not throw from a giant
+// resize or reserve: every element takes at least one byte, so a count
+// above the bytes left is rejected.
+TEST(Wire, CorruptCountsFailInsteadOfThrowing) {
+  // Envelope whose action count is 2^62.
+  const std::vector<uint8_t> huge_actions = {1,    2,    0,    0,    0,
+                                             0x80, 0x80, 0x80, 0x80, 0x80,
+                                             0x80, 0x80, 0x80, 0x40};
+  EXPECT_FALSE(wire::DecodeMessage(huge_actions).ok());
+
+  // One action whose `members` count is 2^40.
+  wire::Writer w;
+  for (uint64_t v : {1, 2, 0, 0}) w.PutVarint(v);  // from, to, seq, ack
+  w.PutFixed8(0);                                   // flags
+  w.PutVarint(1);                                   // one action
+  w.PutFixed8(static_cast<uint8_t>(ActionKind::kSearch));
+  for (int i = 0; i < 5; ++i) w.PutVarint(0);  // target .. value
+  w.PutBool(false);                            // found
+  w.PutFixed8(0);                              // rc
+  for (int i = 0; i < 6; ++i) w.PutVarint(0);  // version .. sep
+  w.PutFixed8(0);                              // link
+  w.PutVarint(1ull << 40);                     // members
+  EXPECT_FALSE(wire::DecodeMessage(w.Take()).ok());
+
+  // A snapshot whose `entries` count is 2^40.
+  wire::Writer snap;
+  snap.PutBool(true);
+  for (int i = 0; i < 9 + 3; ++i) snap.PutVarint(1);  // id .. link_versions
+  snap.PutVarint(1ull << 40);                          // entries
+  const std::vector<uint8_t> bytes = snap.Take();
+  wire::Reader r(bytes);
+  EXPECT_FALSE(wire::DecodeSnapshot(r).ok());
 }
 
 Action RandomAction(Rng& rng) {
