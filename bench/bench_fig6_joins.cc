@@ -44,8 +44,8 @@ std::map<NodeId, std::pair<ProcessorId, KeyRange>> Leaves(
   return leaves;
 }
 
-/// Pumps the base sim network dry WITHOUT flushing piggyback buffers
-/// (Settle would flush them — that is the step we are delaying).
+/// Pumps the sim network dry WITHOUT flushing held relays (Settle would
+/// flush them — that is the step we are delaying).
 void PumpBase(Cluster& cluster) {
   while (cluster.sim()->Step()) {
   }
@@ -93,9 +93,7 @@ void ConstructedRace() {
     cluster.InsertAsync(1, probe + 1 + i, 7, [](const OpResult&) {});
   }
   PumpBase(cluster);
-  const size_t buffered = static_cast<net::PiggybackNetwork&>(
-                              cluster.network())
-                              .Buffered();
+  const size_t buffered = cluster.HeldRelays();
 
   // Step 3: a p0-hosted leaf just left of the moved one (same parent)
   // migrates to p3, which joins that parent; the PC's grant snapshot

@@ -1,9 +1,8 @@
 // Transport microbenchmark + protocol throughput pipeline (PR 2).
 //
 // Part 1 measures the raw ThreadNetwork message hot path: msgs/sec,
-// actions/sec and delivery latency (p50/p99) for the zero-copy fast path
-// vs. the checked wire round-trip mode (the pre-PR-2 pipeline), over
-// three coalesced-message mixes shaped like what the piggyback layer
+// actions/sec and delivery latency (p50/p99), over three coalesced-
+// message mixes shaped like what the queue manager's outbound buffer
 // hands the transport: pure relayed-insert batches, a mixed stream with
 // occasional snapshot-bearing split relays, and a split-heavy stream
 // where every action carries a node snapshot (the |copies(n)| relay
@@ -13,10 +12,10 @@
 // transport for {naive, sync, semisync} at 4/8/16 processors, so future
 // PRs have a recorded perf trajectory.
 //
-// `--json PATH` writes the full result set (BENCH_PR2.json at the repo
-// root via the `lazytree_bench` target); `--smoke` runs only the 2-second
-// fast-path microbenchmark as a perf-path compile regression check
-// (`ctest -L bench`). Build with -DCMAKE_BUILD_TYPE=Release for numbers
+// `--json PATH` writes the full result set (the `lazytree_bench` target
+// writes `<build>/bench_out/BENCH_PR2.json`); `--smoke` runs only the
+// 2-second transport microbenchmark as a perf-path compile regression
+// check (`ctest -L bench`). Build with -DCMAKE_BUILD_TYPE=Release for numbers
 // worth recording.
 
 #include <cstring>
@@ -89,15 +88,14 @@ constexpr MixSpec kMixes[] = {
 /// percentiles measure per-message delivery cost instead of saturated
 /// queue depth.
 ///
-TransportResult RunTransportBench(bool checked_wire, const MixSpec& mix,
-                                  int stations, int senders, double seconds,
+TransportResult RunTransportBench(const MixSpec& mix, int stations,
+                                  int senders, double seconds,
                                   bool paced = false) {
   if (paced) senders = 1;
   const int actions_per_msg = mix.actions_per_msg;
   const int split_every = mix.split_every;
   const int split_entries = mix.split_entries;
-  net::ThreadNetwork net(
-      net::ThreadNetwork::Options{.checked_wire = checked_wire});
+  net::ThreadNetwork net;
   std::vector<std::unique_ptr<LatencySink>> sinks;
   for (ProcessorId id = 0; id < static_cast<ProcessorId>(stations); ++id) {
     sinks.push_back(std::make_unique<LatencySink>());
@@ -236,11 +234,7 @@ ProtocolResult RunProtocolBench(ProtocolKind protocol, uint32_t processors,
 
 struct MixResult {
   const MixSpec* mix;
-  TransportResult fast;
-  TransportResult checked;
-  double Speedup() const {
-    return fast.msgs_per_sec / checked.msgs_per_sec;
-  }
+  TransportResult result;
 };
 
 void WriteJson(const std::string& path, const std::vector<MixResult>& mixes,
@@ -252,36 +246,22 @@ void WriteJson(const std::string& path, const std::vector<MixResult>& mixes,
   std::snprintf(buf, sizeof(buf), "  \"hardware_threads\": %u,\n",
                 std::thread::hardware_concurrency());
   out << buf;
-  auto transport_obj = [&](const char* name, const TransportResult& r) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "      \"%s\": {\"messages\": %llu, \"msgs_per_sec\": %.0f, "
-        "\"actions_per_sec\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f}",
-        name, static_cast<unsigned long long>(r.messages), r.msgs_per_sec,
-        r.actions_per_sec, r.p50_us, r.p99_us);
-    out << buf;
-  };
   out << "  \"transport\": {\n    \"mixes\": [\n";
   for (size_t i = 0; i < mixes.size(); ++i) {
     const MixResult& m = mixes[i];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"mix\": \"%s\", \"actions_per_msg\": %d,\n",
-                  m.mix->name, m.mix->actions_per_msg);
-    out << buf;
-    transport_obj("fast", m.fast);
-    out << ",\n";
-    transport_obj("checked", m.checked);
-    std::snprintf(buf, sizeof(buf), ",\n      \"speedup\": %.2f}%s\n",
-                  m.Speedup(), i + 1 < mixes.size() ? "," : "");
+    const TransportResult& r = m.result;
+    std::snprintf(
+        buf, sizeof(buf),
+        "    {\"mix\": \"%s\", \"actions_per_msg\": %d, "
+        "\"messages\": %llu, \"msgs_per_sec\": %.0f, "
+        "\"actions_per_sec\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f}%s\n",
+        m.mix->name, m.mix->actions_per_msg,
+        static_cast<unsigned long long>(r.messages), r.msgs_per_sec,
+        r.actions_per_sec, r.p50_us, r.p99_us,
+        i + 1 < mixes.size() ? "," : "");
     out << buf;
   }
-  // Headline number: the split-relay stream, the shape whose wire cost
-  // the zero-copy path is built to avoid.
-  std::snprintf(buf, sizeof(buf),
-                "    ],\n    \"headline_mix\": \"%s\",\n"
-                "    \"speedup_fast_over_checked\": %.2f\n  },\n",
-                mixes.back().mix->name, mixes.back().Speedup());
-  out << buf;
+  out << "    ]\n  },\n";
   out << "  \"protocols\": [\n";
   for (size_t i = 0; i < protocols.size(); ++i) {
     const ProtocolResult& p = protocols[i];
@@ -330,7 +310,7 @@ int Run(int argc, char** argv) {
 #endif
 
   bench::Banner(
-      "T1", "transport hot path — zero-copy vs. checked wire",
+      "T1", "transport hot path",
       "msgs/sec, actions/sec and delivery latency through ThreadNetwork\n"
       "for three coalesced-message mixes (4 senders -> 4 stations):\n"
       "  inserts  8 relayed inserts per message, no snapshots\n"
@@ -338,9 +318,9 @@ int Run(int argc, char** argv) {
       "  splits   16 split relays per message, 24-entry snapshots each");
 
   if (smoke) {
-    // Perf-path compile regression check: just prove the fast path moves
+    // Perf-path compile regression check: just prove the transport moves
     // messages end to end at a sane rate.
-    TransportResult fast = RunTransportBench(false, kMixes[1], 4, 4, seconds);
+    TransportResult fast = RunTransportBench(kMixes[1], 4, 4, seconds);
     std::printf("smoke: %llu msgs, %.0f msgs/sec, p50 %.1fµs p99 %.1fµs\n",
                 static_cast<unsigned long long>(fast.messages),
                 fast.msgs_per_sec, fast.p50_us, fast.p99_us);
@@ -350,37 +330,26 @@ int Run(int argc, char** argv) {
 
   // Throughput from the saturating blast; latency from a paced run where
   // queues stay shallow.
-  auto measure = [&](const MixSpec& mix, bool checked_wire) {
-    TransportResult r = RunTransportBench(checked_wire, mix, 4, 4, seconds);
-    TransportResult paced = RunTransportBench(checked_wire, mix, 4, 1,
-                                              seconds / 4, /*paced=*/true);
+  auto measure = [&](const MixSpec& mix) {
+    TransportResult r = RunTransportBench(mix, 4, 4, seconds);
+    TransportResult paced =
+        RunTransportBench(mix, 4, 1, seconds / 4, /*paced=*/true);
     r.p50_us = paced.p50_us;
     r.p99_us = paced.p99_us;
     return r;
   };
   std::vector<MixResult> mixes;
-  bench::Table table({"mix", "mode", "msgs/sec", "actions/sec", "p50 µs",
-                      "p99 µs", "speedup"});
+  bench::Table table(
+      {"mix", "msgs/sec", "actions/sec", "p50 µs", "p99 µs"});
   table.Header();
   for (const MixSpec& mix : kMixes) {
-    MixResult m;
-    m.mix = &mix;
-    m.fast = measure(mix, false);
-    m.checked = measure(mix, true);
-    table.Row({mix.name, "fast", bench::Fmt("%.0f", m.fast.msgs_per_sec),
-               bench::Fmt("%.0f", m.fast.actions_per_sec),
-               bench::Fmt("%.1f", m.fast.p50_us),
-               bench::Fmt("%.1f", m.fast.p99_us),
-               bench::Fmt("%.2fx", m.Speedup())});
-    table.Row({mix.name, "checked",
-               bench::Fmt("%.0f", m.checked.msgs_per_sec),
-               bench::Fmt("%.0f", m.checked.actions_per_sec),
-               bench::Fmt("%.1f", m.checked.p50_us),
-               bench::Fmt("%.1f", m.checked.p99_us), ""});
-    mixes.push_back(std::move(m));
+    const TransportResult r = measure(mix);
+    table.Row({mix.name, bench::Fmt("%.0f", r.msgs_per_sec),
+               bench::Fmt("%.0f", r.actions_per_sec),
+               bench::Fmt("%.1f", r.p50_us), bench::Fmt("%.1f", r.p99_us)});
+    mixes.push_back(MixResult{&mix, r});
   }
-  std::printf("\nheadline (splits mix) speedup: %.2fx\n\n",
-              mixes.back().Speedup());
+  std::printf("\n");
 
   bench::Banner("T2", "protocol ops/sec on the thread transport",
                 "End-to-end throughput per protocol and cluster size\n"

@@ -24,8 +24,8 @@ class Table {
  public:
   explicit Table(std::vector<std::string> headers)
       : headers_(std::move(headers)) {
-    // Floor of 8 so cells a little wider than a short header ("checked"
-    // under "mode") don't shove the rest of the row out of alignment.
+    // Floor of 8 so cells a little wider than a short header ("semisync"
+    // under "protocol") don't shove the rest of the row out of alignment.
     for (const auto& h : headers_) {
       widths_.push_back(h.size() > 8 ? h.size() + 2 : 10);
     }

@@ -73,7 +73,6 @@ Cluster::Cluster(ClusterOptions options)
     base_network_ = std::move(sim);
   } else {
     net::ThreadNetwork::Options topt;
-    topt.checked_wire = options_.checked_wire;
     topt.pin_threads = options_.pin_threads;
     if (options_.max_batch > 0) topt.max_batch = options_.max_batch;
     base_network_ = std::make_unique<net::ThreadNetwork>(topt);
@@ -94,15 +93,11 @@ Cluster::Cluster(ClusterOptions options)
         [this](ProcessorId from, ProcessorId to) { OnLinkDown(from, to); });
     network_ = reliable_.get();
   }
-  if (options_.piggyback_window > 0) {
-    piggyback_ = std::make_unique<net::PiggybackNetwork>(
-        network_, options_.piggyback_window);
-    network_ = piggyback_.get();
-  }
   processors_.reserve(options_.processors);
   for (ProcessorId id = 0; id < options_.processors; ++id) {
     processors_.push_back(std::make_unique<Processor>(
-        id, options_.processors, network_, &history_, options_.tree));
+        id, options_.processors, network_, &history_, options_.tree,
+        options_.piggyback_window));
     processors_.back()->SetHandler(
         MakeHandler(options_.protocol, *processors_.back()));
   }
@@ -111,6 +106,12 @@ Cluster::Cluster(ClusterOptions options)
 Cluster::~Cluster() { Stop(); }
 
 net::Network& Cluster::base_network() { return *base_network_; }
+
+size_t Cluster::HeldRelays() {
+  size_t held = 0;
+  for (auto& p : processors_) held += p->out().held();
+  return held;
+}
 
 void Cluster::Bootstrap() {
   // The initial tree: an interior root over a single empty leaf, placed
@@ -206,7 +207,13 @@ void Cluster::MigrateNode(NodeId node, ProcessorId host_hint,
   cmd.kind = ActionKind::kMigrateNode;
   cmd.target = node;
   cmd.members = {dest};
-  network_->Send(Message(dest, host_hint, std::move(cmd)));
+  if (sim_ != nullptr) {
+    // Sent as if by `dest`: relays it holds for `host_hint` ride ahead.
+    processors_[dest]->out().SendAction(host_hint, std::move(cmd));
+  } else {
+    // A client thread must not touch a worker's outbound buffer.
+    network_->Send(Message(dest, host_hint, std::move(cmd)));
+  }
 }
 
 Status Cluster::Insert(ProcessorId home, Key key, Value value) {
@@ -305,9 +312,20 @@ StatusOr<std::vector<Entry>> Cluster::Scan(ProcessorId home, Key start,
 }
 
 bool Cluster::Settle(std::chrono::milliseconds timeout) {
-  if (!network_->WaitQuiescent(timeout)) return false;
-  MaybeCheckHistories();
-  return true;
+  // Held relays count as outstanding work. On threads every worker
+  // flushes its own when its inbox drains; the sim has no workers, so
+  // flush here, drain, and repeat (a delivery can hold new relays).
+  for (int round = 0; round < 1000; ++round) {
+    if (sim_ != nullptr) {
+      for (auto& p : processors_) p->out().FlushHeld();
+    }
+    if (!network_->WaitQuiescent(timeout)) return false;
+    if (sim_ == nullptr || HeldRelays() == 0) {
+      MaybeCheckHistories();
+      return true;
+    }
+  }
+  return false;
 }
 
 bool Cluster::PumpNetworkTimers() {

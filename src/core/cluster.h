@@ -15,7 +15,6 @@
 #include "src/core/options.h"
 #include "src/history/checker.h"
 #include "src/net/faults.h"
-#include "src/net/piggyback.h"
 #include "src/net/reliable.h"
 #include "src/net/sim_network.h"
 #include "src/net/thread_network.h"
@@ -40,7 +39,7 @@ class Cluster {
   uint32_t size() const { return options_.processors; }
   Processor& processor(ProcessorId id) { return *processors_[id]; }
 
-  /// Outermost network (piggybacking decorator when enabled).
+  /// Outermost network (the reliable or fault decorator when enabled).
   net::Network& network() { return *network_; }
   /// Non-null when the transport is the deterministic simulator.
   net::SimNetwork* sim() { return sim_; }
@@ -72,7 +71,9 @@ class Cluster {
   void MigrateNode(NodeId node, ProcessorId host_hint, ProcessorId dest);
 
   /// Drains all in-flight work (for the sim transport this *is* the
-  /// execution loop). Returns false on timeout/livelock.
+  /// execution loop). On the sim it also flushes every processor's held
+  /// relays, in ascending (from, to) order, and drains again until none
+  /// are held. Returns false on timeout/livelock.
   bool Settle(std::chrono::milliseconds timeout =
                   std::chrono::milliseconds(30000));
 
@@ -115,8 +116,13 @@ class Cluster {
 
   net::StatsSnapshot NetStats() { return base_network().stats().Snapshot(); }
 
-  /// The undecorated transport (real message counts under piggybacking).
+  /// The undecorated transport.
   net::Network& base_network();
+
+  /// Relayed actions the processors' queue managers hold for a later
+  /// message (piggybacking), summed over processors. Read it on the sim or
+  /// at quiescence.
+  size_t HeldRelays();
 
  private:
   void Bootstrap();
@@ -135,11 +141,10 @@ class Cluster {
   history::HistoryLog history_;
   /// Decorator stack, innermost first (declaration order matters: outer
   /// layers are destroyed before the layers they wrap):
-  ///   base -> faulty -> reliable -> piggyback.
+  ///   base -> faulty -> reliable.
   std::unique_ptr<net::Network> base_network_;
   std::unique_ptr<net::FaultyNetwork> faulty_;
   std::unique_ptr<net::ReliableNetwork> reliable_;
-  std::unique_ptr<net::PiggybackNetwork> piggyback_;
   net::Network* network_ = nullptr;  // outermost
   net::SimNetwork* sim_ = nullptr;
   std::vector<std::unique_ptr<Processor>> processors_;

@@ -34,10 +34,6 @@ struct ClusterOptions {
   uint32_t processors = 4;
   ProtocolKind protocol = ProtocolKind::kSemiSyncSplit;
   TransportKind transport = TransportKind::kSim;
-  /// Thread transport only: round-trip every message through the wire
-  /// encoder/decoder instead of the zero-copy fast path (also forced by
-  /// the LAZYTREE_CHECKED_WIRE=1 environment variable).
-  bool checked_wire = false;
   /// Seed for the sim scheduler and all protocol-internal randomness.
   uint64_t seed = 1;
   /// Sim transport only: when > 0, run the simulator in timestamped mode
@@ -46,8 +42,9 @@ struct ClusterOptions {
   /// simulated time (SimNetwork::NowUs).
   uint64_t sim_latency_us = 0;
   uint64_t sim_jitter_us = 0;
-  /// Per-destination relayed-update buffer for piggybacking (§1.1).
-  /// 0 disables piggybacking.
+  /// Relayed updates each processor's queue manager holds per remote
+  /// destination for piggybacking (§1.1) before they leave as one
+  /// message. 0 disables piggybacking.
   size_t piggyback_window = 0;
   /// Hot-node op combining (TreeConfig::combine_ops): -1 auto-resolves to
   /// ON for the threads transport and OFF for sim (keeping every seeded

@@ -13,8 +13,9 @@ namespace lazytree {
 
 /// Envelope carrying one or more actions from one processor to another.
 ///
-/// A message normally carries a single action; the piggybacking layer
-/// (net/piggyback.h) batches buffered relayed updates onto the next direct
+/// A message carries one or more actions; the queue manager's outbound
+/// buffer (server/queue_manager.h) combines one delivery's actions per
+/// destination and piggybacks held relayed updates onto the next direct
 /// message for the same destination, which is why `actions` is a vector —
 /// exactly the optimization §1.1 describes.
 struct Message {

@@ -158,6 +158,7 @@ class ReliableNetwork : public Network {
         : net_(net), id_(id), real_(real) {}
     void Deliver(Message m) override;
     void DeliverBatch(std::vector<Message>& batch) override;
+    void OnInboxDrained() override { real_->OnInboxDrained(); }
 
    private:
     ReliableNetwork* net_;

@@ -45,6 +45,12 @@ class Receiver {
   virtual void DeliverBatch(std::vector<Message>& batch) {
     for (Message& m : batch) Deliver(std::move(m));
   }
+
+  /// Called by the thread transport after a batch that left the inbox
+  /// empty, before the batch counts as handled. A receiver holding
+  /// outbound work (the queue manager's held relays) sends it here, so a
+  /// quiescent network has nothing held. The sim never calls it.
+  virtual void OnInboxDrained() {}
 };
 
 /// Reliable exactly-once FIFO transport between registered processors.
@@ -73,7 +79,7 @@ class Network {
   /// the execution loop.
   virtual bool WaitQuiescent(std::chrono::milliseconds timeout) = 0;
 
-  /// Counter sink. Decorators (piggyback, faults, reliable) override this
+  /// Counter sink. Decorators (faults, reliable) override this
   /// to return the base transport's sink, so a whole decorator stack
   /// reports through one set of counters no matter which layer a caller
   /// holds.

@@ -6,14 +6,14 @@ namespace lazytree {
 
 Processor::Processor(ProcessorId id, uint32_t cluster_size,
                      net::Network* network, history::HistoryLog* history,
-                     const TreeConfig& config)
+                     const TreeConfig& config, size_t piggyback_window)
     : id_(id),
       cluster_size_(cluster_size),
       config_(config),
       network_(network),
       history_(history),
       store_(cluster_size),
-      out_(id, network),
+      out_(id, network, piggyback_window),
       ops_(id) {
   network_->Register(id_, this);
 }

@@ -60,8 +60,11 @@ struct TreeConfig {
 
 class Processor : public net::Receiver {
  public:
+  /// `piggyback_window` is the queue manager's relay hold window
+  /// (ClusterOptions::piggyback_window; 0 never holds).
   Processor(ProcessorId id, uint32_t cluster_size, net::Network* network,
-            history::HistoryLog* history, const TreeConfig& config);
+            history::HistoryLog* history, const TreeConfig& config,
+            size_t piggyback_window = 0);
 
   /// Installs the protocol strategy. Must happen before the network starts.
   void SetHandler(std::unique_ptr<ProtocolHandler> handler);
@@ -72,6 +75,9 @@ class Processor : public net::Receiver {
   /// batch (when TreeConfig::combine_ops): all actions the batch emits
   /// toward one destination leave as a single message.
   void DeliverBatch(std::vector<Message>& batch) override;
+  /// The thread transport drained this processor's inbox: held relays
+  /// leave now.
+  void OnInboxDrained() override { out_.FlushHeld(); }
 
   /// Completes a kReturnValue action addressed to this processor without
   /// a queue-manager round trip (the local-read fast path's last hop).

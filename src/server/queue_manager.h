@@ -6,24 +6,42 @@
 // send crosses the Network. Self-sends are counted as local messages, not
 // network traffic.
 //
-// Op combining (TreeConfig::combine_ops): while the owning worker thread
-// is inside a delivery scope (BeginCombine/EndCombine, opened by the
-// Processor around Deliver/DeliverBatch), outgoing actions are buffered
-// per destination and flushed as one multi-action message per destination
-// when the scope closes. A batch of searches crossing the same hot root
-// replica therefore leaves as a single message instead of one message per
-// op — the hot-node combining of ROADMAP item 1. Correctness rides on the
-// paper's own model: a message already carries a *vector* of actions
-// (piggybacking, §1.1), the receiver handles them serially, and per-
-// (from,to) FIFO is preserved because buffers flush in first-touch order
-// before the next delivery begins.
+// Outbound buffer. A message already carries a *vector* of actions (§1.1),
+// so one Message buffer per destination does all of the batching:
+//
+//   * Op combining (TreeConfig::combine_ops). While the owning worker
+//     thread is inside a delivery scope (BeginCombine/EndCombine, opened
+//     by the Processor around Deliver/DeliverBatch), every outgoing action
+//     is appended to its destination's buffer, and the outermost
+//     EndCombine releases each touched destination as one message, in
+//     first-touch order. A batch of searches crossing the same hot root
+//     replica leaves as a single message instead of one message per op.
+//   * Piggybacking (`piggyback_window` > 0): "the lazy update can be
+//     piggybacked onto messages used for other purposes". When everything
+//     a scope adds for a remote destination is relayed updates, which
+//     commute, the buffer is held across deliveries instead of sent, until
+//     it reaches `piggyback_window` actions and leaves as one message. Any
+//     other action to that destination takes the held relays with it,
+//     relays first. Self-sends are never held.
+//
+// Outside a scope an action is a scope of one: with piggybacking on it is
+// held or sent at once; with it off it goes straight to the network. A
+// buffer grows only at the back and leaves whole, so per-(from, to) FIFO
+// holds.
+//
+// Held relays leave only from the delivery side (FlushHeld): the thread
+// transport calls it when a worker's inbox drains, before the batch counts
+// as handled, so a quiescent network has nothing held; on the sim,
+// Cluster::Settle calls it on every processor until nothing is held.
 //
 // Thread safety: Submit* enqueues client actions from arbitrary threads
-// through SendLocal. Only the network worker that opened the combine
-// scope may buffer — everyone else must go straight to the network — so
-// the routing decision keys on an atomic owner-thread id. Client threads
-// read `combine_owner_`, see "not me", and take the direct path; the
-// buffers themselves are touched only by the owner.
+// through SendLocal. A self-send outside the caller's own scope goes
+// straight to the network, so client threads never touch the buffers.
+// Only the network worker that opened the combine scope may buffer, so the
+// routing decision keys on an atomic owner-thread id: client threads read
+// `combine_owner_`, see "not me", and take the direct path. Remote sends
+// come only from protocol code on the delivering thread, which owns the
+// buffers.
 
 #ifndef LAZYTREE_SERVER_QUEUE_MANAGER_H_
 #define LAZYTREE_SERVER_QUEUE_MANAGER_H_
@@ -39,8 +57,11 @@ namespace lazytree {
 
 class QueueManager {
  public:
-  QueueManager(ProcessorId self, net::Network* network)
-      : self_(self), network_(network) {}
+  /// `piggyback_window`: relayed actions held per remote destination
+  /// before they leave as one message; 0 never holds.
+  QueueManager(ProcessorId self, net::Network* network,
+               size_t piggyback_window = 0)
+      : self_(self), network_(network), window_(piggyback_window) {}
 
   ProcessorId self() const { return self_; }
 
@@ -48,9 +69,12 @@ class QueueManager {
   void SendAction(ProcessorId dest, Action action) {
     if (CombiningHere()) {
       BufferAction(dest, std::move(action));
-      return;
+    } else if (window_ > 0 && dest != self_) {
+      BufferAction(dest, std::move(action));
+      Flush();
+    } else {
+      network_->Send(Message(self_, dest, std::move(action)));
     }
-    network_->Send(Message(self_, dest, std::move(action)));
   }
 
   /// Re-enqueues an action locally (deferred work, local hops).
@@ -76,8 +100,8 @@ class QueueManager {
     ++combine_depth_;
   }
 
-  /// Closes the scope; the outermost close flushes every buffered
-  /// destination (first-touch order) as one message each.
+  /// Closes the scope; the outermost close releases every destination the
+  /// scope touched (first-touch order): one message each, or held.
   void EndCombine() {
     LAZYTREE_CHECK(combine_depth_ > 0) << "unbalanced EndCombine";
     if (--combine_depth_ > 0) return;
@@ -85,9 +109,26 @@ class QueueManager {
     Flush();
   }
 
+  /// Sends every destination's held relays, one message each, in
+  /// ascending destination order. Delivering thread only, outside any
+  /// scope.
+  void FlushHeld();
+
+  /// Relayed actions held for a later message, over all destinations.
+  /// Read it on the delivering thread or at quiescence.
+  size_t held() const { return held_; }
+
   net::Network* network() { return network_; }
 
  private:
+  // One destination's buffer: its first `held` actions are relays held
+  // from earlier scopes, the rest were added by the open scope.
+  struct Outbox {
+    Message msg;
+    size_t held = 0;
+    bool direct = false;  // the open scope added an action it cannot hold
+  };
+
   bool CombiningHere() const {
     // Owner-thread check doubles as the "is combining active" check:
     // client threads never match, and they must not, because the buffers
@@ -97,43 +138,33 @@ class QueueManager {
   }
 
   void BufferAction(ProcessorId dest, Action action) {
-    if (pending_.size() <= dest) pending_.resize(dest + 1);
-    Message& m = pending_[dest];
-    if (m.actions.empty()) {
-      m.from = self_;
-      m.to = dest;
+    if (boxes_.size() <= dest) boxes_.resize(dest + 1);
+    Outbox& box = boxes_[dest];
+    if (box.msg.actions.size() == box.held) {  // first touch this scope
+      box.msg.from = self_;
+      box.msg.to = dest;
       flush_order_.push_back(dest);
     }
-    m.actions.push_back(std::move(action));
+    box.direct |= window_ == 0 || dest == self_ || !action.IsRelayed();
+    box.msg.actions.push_back(std::move(action));
   }
 
-  void Flush() {
-    if (flush_order_.empty()) return;
-    size_t actions = 0;
-    size_t messages = 0;
-    for (ProcessorId dest : flush_order_) {
-      Message& m = pending_[dest];
-      if (m.actions.empty()) continue;
-      actions += m.actions.size();
-      ++messages;
-      network_->Send(std::move(m));
-      m = Message();
-    }
-    flush_order_.clear();
-    if (actions > messages) {
-      network_->stats().OnCombined(actions - messages);
-    }
-  }
+  // Releases every destination the scope touched: an all-relay addition
+  // stays held below the window, anything else sends the whole buffer.
+  void Flush();
+  void SendBuffer(Outbox& box);
 
   ProcessorId self_;
   net::Network* network_;
+  size_t window_;
 
-  // Combining state. `combine_owner_` is the only field other threads
-  // read; depth and buffers are owner-thread-confined.
+  // `combine_owner_` is the only field other threads read; depth and
+  // buffers belong to the delivering thread.
   std::atomic<std::thread::id> combine_owner_{};
   int combine_depth_ = 0;
-  std::vector<Message> pending_;        // indexed by destination
+  std::vector<Outbox> boxes_;             // indexed by destination
   std::vector<ProcessorId> flush_order_;  // first-touch destinations
+  size_t held_ = 0;
 };
 
 }  // namespace lazytree

@@ -4,7 +4,7 @@
 // append to a vector under one mutex; the consumer exchanges that vector
 // for its own drained one under the same mutex, then processes the whole
 // batch lock-free. One lock acquisition per *batch* on the consumer side
-// (vs. one per message for BlockingQueue), and the two vectors recycle
+// (not one per message), and the two vectors recycle
 // each other's capacity so a steady-state queue stops allocating.
 //
 // Wakeup discipline (the p99 tail fix): the consumer spins on a lock-free
@@ -124,6 +124,14 @@ class MpscBatchQueue {
       closed_hint_.store(true, std::memory_order_release);
     }
     cv_.notify_all();
+  }
+
+  /// Consumer only: true when nothing is staged or pending. A push racing
+  /// with the check may be missed; the consumer then sees it on its next
+  /// PopAll.
+  bool Drained() const {
+    return staged_pos_ >= staged_.size() &&
+           size_hint_.load(std::memory_order_acquire) == 0;
   }
 
   size_t Size() const {

@@ -6,13 +6,18 @@
 // an empty scope must send nothing, ownership must hand off cleanly
 // between consecutive batches (including across threads, as when the
 // worker pool recycles), and the per-(from,to) FIFO contract must survive
-// combined flushes interleaved with direct sends from other threads.
+// combined flushes interleaved with direct sends from other threads. The
+// same buffer holds relayed updates for piggybacking: they wait for direct
+// traffic or the window, and leave when the sim settles or a thread
+// transport worker's inbox drains.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "src/core/cluster.h"
+#include "src/net/sim_network.h"
 #include "src/server/queue_manager.h"
 
 namespace lazytree {
@@ -37,6 +42,22 @@ Action SearchFor(uint64_t key) {
   a.key = key;
   return a;
 }
+
+Action RelayedAction(Key k) {
+  Action a;
+  a.kind = ActionKind::kRelayedInsert;
+  a.key = k;
+  return a;
+}
+
+/// Sim-side sink: every delivered action's key, in delivery order.
+class Recorder : public net::Receiver {
+ public:
+  void Deliver(Message m) override {
+    for (const Action& a : m.actions) keys.push_back(a.key);
+  }
+  std::vector<Key> keys;
+};
 
 // Nested Begin/EndCombine: only the outermost EndCombine flushes, and the
 // inner scopes' actions ride in the same per-destination message.
@@ -176,6 +197,132 @@ TEST(QueueManager, BroadcastInsideScopeBuffersPerDestinationSkippingSelf) {
     EXPECT_EQ(m.actions[0].key, 5u);
     EXPECT_EQ(m.actions[1].key, 6u);
   }
+}
+
+// Piggybacking: relays wait in the buffer until a direct action to the
+// same destination takes them along, relays first.
+TEST(QueueManager, PiggybackDefersRelaysUntilDirectTraffic) {
+  net::SimNetwork base(1);
+  Recorder r0, r1;
+  base.Register(0, &r0);
+  base.Register(1, &r1);
+  QueueManager qm(/*self=*/0, &base, /*piggyback_window=*/16);
+  for (Key k = 0; k < 5; ++k) qm.SendAction(1, RelayedAction(k));
+  EXPECT_EQ(qm.held(), 5u);
+  EXPECT_EQ(base.Pending(), 0u) << "relays held, not sent";
+  // A direct action flushes the buffer onto itself, relays first.
+  qm.SendAction(1, SearchFor(99));
+  EXPECT_EQ(qm.held(), 0u);
+  EXPECT_EQ(base.Pending(), 1u) << "one combined message";
+  ASSERT_TRUE(base.WaitQuiescent(std::chrono::milliseconds(1000)));
+  ASSERT_EQ(r1.keys.size(), 6u);
+  for (Key k = 0; k < 5; ++k) EXPECT_EQ(r1.keys[k], k) << "relay order kept";
+  EXPECT_EQ(r1.keys[5], 99u) << "direct action rides last";
+}
+
+TEST(QueueManager, PiggybackWindowForcesStandaloneFlush) {
+  net::SimNetwork base(1);
+  Recorder r0, r1;
+  base.Register(0, &r0);
+  base.Register(1, &r1);
+  QueueManager qm(/*self=*/0, &base, /*piggyback_window=*/4);
+  for (Key k = 0; k < 4; ++k) qm.SendAction(1, RelayedAction(k));
+  EXPECT_EQ(qm.held(), 0u) << "window reached: flushed";
+  EXPECT_EQ(base.Pending(), 1u);
+}
+
+// Settle flushes what the processors hold and drains until nothing is
+// held, so relays stepped past by the sim still arrive.
+TEST(QueueManager, SettleFlushesHeldRelays) {
+  ClusterOptions o;
+  o.processors = 3;
+  o.protocol = ProtocolKind::kSyncSplit;
+  o.tree.leaf_replication = 2;  // client inserts are relayed
+  o.piggyback_window = 64;
+  Cluster cluster(o);
+  cluster.Start();
+  for (Key k = 1; k <= 10; ++k) {
+    cluster.InsertAsync(0, k, k, [](const OpResult&) {});
+  }
+  while (cluster.sim()->Step()) {
+  }
+  EXPECT_GT(cluster.HeldRelays(), 0u) << "the drained sim left relays held";
+  ASSERT_TRUE(cluster.Settle());
+  EXPECT_EQ(cluster.HeldRelays(), 0u);
+  EXPECT_EQ(cluster.DumpLeaves().size(), 10u);
+  EXPECT_TRUE(cluster.VerifyHistories().ok());
+}
+
+TEST(QueueManager, PiggybackZeroWindowPassesThrough) {
+  net::SimNetwork base(1);
+  Recorder r0, r1;
+  base.Register(0, &r0);
+  base.Register(1, &r1);
+  QueueManager qm(/*self=*/0, &base, /*piggyback_window=*/0);
+  qm.SendAction(1, RelayedAction(1));
+  EXPECT_EQ(base.Pending(), 1u);
+}
+
+// Inside a combine scope the window test runs when the scope closes: a
+// scope that adds only relays to a destination leaves them held, and a
+// later scope with direct traffic sends the older held relays first.
+// Combining counts each scope's output to one destination as one message,
+// held or not; piggybacking counts every relay that was held.
+TEST(QueueManager, CombineScopeHoldsRelaysUntilMixedScope) {
+  RecordingNetwork net;
+  QueueManager qm(/*self=*/0, &net, /*piggyback_window=*/16);
+
+  qm.BeginCombine();
+  qm.SendAction(1, RelayedAction(1));
+  qm.SendAction(1, RelayedAction(2));
+  qm.SendAction(2, SearchFor(3));
+  qm.EndCombine();
+  ASSERT_EQ(net.sent.size(), 1u) << "only the direct destination leaves";
+  EXPECT_EQ(net.sent[0].to, 2u);
+  EXPECT_EQ(qm.held(), 2u);
+
+  qm.BeginCombine();
+  qm.SendAction(1, RelayedAction(4));
+  qm.SendAction(1, SearchFor(5));
+  qm.EndCombine();
+  ASSERT_EQ(net.sent.size(), 2u);
+  EXPECT_EQ(qm.held(), 0u);
+  const Message& m = net.sent[1];
+  EXPECT_EQ(m.from, 0u);
+  EXPECT_EQ(m.to, 1u);
+  ASSERT_EQ(m.actions.size(), 4u);
+  const Key expected[] = {1, 2, 4, 5};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(m.actions[i].key, expected[i]) << "held relays first, in order";
+  }
+  const net::StatsSnapshot stats = net.stats().Snapshot();
+  EXPECT_EQ(stats.piggybacked_actions, 2u);
+  EXPECT_EQ(stats.combined_actions, 2u)
+      << "3 actions in 2 messages, then 2 actions in 1";
+}
+
+// Thread transport: the worker flushes what its processor holds when its
+// inbox drains, so WaitQuiescent alone (no Settle) returns with every
+// relay delivered and nothing held.
+TEST(QueueManager, ThreadWorkerFlushesHeldRelaysWhenInboxDrains) {
+  ClusterOptions o;
+  o.processors = 3;
+  o.protocol = ProtocolKind::kSyncSplit;
+  o.transport = TransportKind::kThreads;
+  o.tree.leaf_replication = 2;  // client inserts are relayed
+  o.piggyback_window = 100000;  // never reached: only the drain flushes
+  Cluster cluster(o);
+  cluster.Start();
+  for (Key k = 1; k <= 200; ++k) {
+    ASSERT_TRUE(cluster.Insert(static_cast<ProcessorId>(k % 3), k, k).ok());
+  }
+  ASSERT_TRUE(cluster.network().WaitQuiescent(std::chrono::seconds(30)));
+  EXPECT_EQ(cluster.HeldRelays(), 0u);
+  EXPECT_GT(cluster.NetStats().piggybacked_actions, 0u)
+      << "relays were held at some point";
+  EXPECT_EQ(cluster.DumpLeaves().size(), 200u);
+  const history::CheckReport report = cluster.VerifyHistories();
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 }  // namespace

@@ -253,9 +253,9 @@ Action RandomAction(Rng& rng) {
 }
 
 // The round-trip property the zero-copy transport relies on: the wire
-// format is a *bijection* on the reachable message space, so the opt-in
-// checked mode and the counting EncodedSize cannot drift from the fast
-// path. encode -> decode -> re-encode must be byte-identical, and
+// format is a *bijection* on the reachable message space, so the counting
+// EncodedSize cannot drift from the codec. encode -> decode -> re-encode
+// must be byte-identical, and
 // EncodedSize must equal the materialized size, for arbitrary messages.
 TEST(Wire, FuzzRoundTripReencodesByteIdentical) {
   Rng rng(2024);

@@ -322,9 +322,8 @@ const char* const kApprovedConcurrencyFiles[] = {
     // cross-thread state is one atomic thread-id, and it must stay that
     // way.
     "src/util/affinity.h", "src/util/affinity.cc",
-    // The thread transport and its decorators.
+    // The thread transport.
     "src/net/thread_network.h", "src/net/thread_network.cc",
-    "src/net/piggyback.h", "src/net/piggyback.cc",
     // The lossy-link fault injector (per-link mutex guarding send
     // counters / held messages — decorator state, never processor state).
     "src/net/faults.h", "src/net/faults.cc",
@@ -438,12 +437,6 @@ const AtomicOrderJustification kAtomicOrderAllowlist[] = {
      "release store on Begin/EndCombine pairs with the acquire load in "
      "the owner check: buffered batch state must be visible to whichever "
      "thread observes itself as owner"},
-    {"src/net/piggyback.h", "buffered_total_",
-     "acquire load in the quiescence probe pairs with the acq_rel RMWs "
-     "so a zero count implies the channel buffers were really emptied"},
-    {"src/net/piggyback.cc", "buffered_total_",
-     "acq_rel RMWs under the channel mutex keep the count ordered with "
-     "the buffer mutations it summarizes for the lock-free probe"},
     {"src/net/thread_network.cc", "started_",
      "acq_rel CAS makes Start's thread spawning happen-before any "
      "acquire observer; Register's acquire load pairs with it"},
