@@ -38,6 +38,10 @@ LoadProfile RunOne(uint32_t processors, uint32_t interior_replication) {
   o.tree.max_entries = 16;
   o.tree.interior_replication = interior_replication;
   o.tree.track_history = false;
+  // Per-hop navigation: every node visit is one action, so
+  // actions_handled counts the node manager's node visits. Inline descent
+  // would fold a processor's whole local walk into one action.
+  o.local_read_fastpath = false;
   Cluster cluster(o);
   cluster.Start();
   bench::Preload(cluster, 3000, 7);

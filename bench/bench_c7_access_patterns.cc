@@ -34,6 +34,9 @@ PatternResult RunPattern(const std::string& pattern, bool countermeasure,
   o.tree.max_entries = 8;
   o.tree.track_history = false;
   if (countermeasure) o.tree.shed_threshold = 6;  // online balancing
+  // Per-hop navigation: every node visit is one action, so the load share
+  // below counts node visits (see bench_c1_root_bottleneck).
+  o.local_read_fastpath = false;
   Cluster cluster(o);
   cluster.Start();
 

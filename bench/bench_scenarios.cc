@@ -197,7 +197,7 @@ struct Row {
 };
 
 ClusterOptions MakeOptions(bool threads, uint32_t procs, uint64_t seed,
-                           int8_t combine = -1, int8_t fastpath = -1) {
+                           int8_t combine = -1, bool fastpath = true) {
   ClusterOptions o;
   o.processors = procs;
   o.protocol = ProtocolKind::kSemiSyncSplit;
@@ -285,7 +285,7 @@ void ThreadClientLoop(Cluster& cluster, ScenarioCtx& ctx, int client,
 
 Row RunThreadsScenario(const Spec& spec, size_t records, size_t ops,
                        uint32_t procs, uint64_t seed, int8_t combine = -1,
-                       int8_t fastpath = -1) {
+                       bool fastpath = true) {
   Cluster cluster(MakeOptions(true, procs, seed, combine, fastpath));
   cluster.Start();
   ScenarioCtx ctx(spec, records, ops);
@@ -619,12 +619,12 @@ int Run(int argc, char** argv) {
 
   // Ablation: what each multicore knob buys on the hot-read mix.
   if (!smoke) {
-    struct Knobs { const char* label; int8_t combine, fastpath; };
+    struct Knobs { const char* label; int8_t combine; bool fastpath; };
     const Knobs knobs[] = {
-        {"baseline (both off)", 0, 0},
-        {"combine only", 1, 0},
-        {"fastpath only", 0, 1},
-        {"combine+fastpath", 1, 1},
+        {"baseline (both off)", 0, false},
+        {"combine only", 1, false},
+        {"fastpath only", 0, true},
+        {"combine+fastpath", 1, true},
     };
     for (const Knobs& k : knobs) {
       result.ablation.push_back(RunThreadsScenario(

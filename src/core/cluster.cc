@@ -56,14 +56,11 @@ Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)), history_(options_.tree.track_history) {
   LAZYTREE_CHECK(options_.processors >= 1) << "need at least one processor";
   const bool threads = options_.transport == TransportKind::kThreads;
-  // Tri-state execution knobs: auto (-1) turns the multicore fast paths
-  // on only for the threads transport, so seeded sim schedules (and the
-  // checked-in explorer traces that replay them) stay byte-stable.
+  // combine_ops auto (-1) turns op combining on only for the threads
+  // transport, so seeded sim schedules stay byte-stable.
   options_.tree.combine_ops =
       options_.combine_ops < 0 ? threads : options_.combine_ops > 0;
-  options_.tree.local_fastpath = options_.local_read_fastpath < 0
-                                     ? threads
-                                     : options_.local_read_fastpath > 0;
+  options_.tree.local_fastpath = options_.local_read_fastpath;
   if (options_.transport == TransportKind::kSim) {
     auto sim = std::make_unique<net::SimNetwork>(options_.seed);
     if (options_.sim_latency_us > 0) {

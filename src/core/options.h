@@ -52,9 +52,14 @@ struct ClusterOptions {
   /// 0/1 force it. Sim runs with it forced on stay deterministic, just
   /// under a different (still valid) schedule.
   int8_t combine_ops = -1;
-  /// Local-replica read fast path (TreeConfig::local_fastpath): same
-  /// tri-state convention as combine_ops.
-  int8_t local_read_fastpath = -1;
+  /// Inline local descent (TreeConfig::local_fastpath), on both
+  /// transports: an op walks the locally stored copies root -> interior ->
+  /// leaf-home inside one delivery, and a reply to the op's own origin
+  /// completes it directly. Off selects the per-hop model, one node visit
+  /// per delivery with every local hop a self-send; the schedule explorer
+  /// and lazytree_verify set that explicitly because it gives the
+  /// scheduler one interleaving point per node visit.
+  bool local_read_fastpath = true;
   /// Threads transport only: pin each worker thread to a fixed CPU.
   bool pin_threads = true;
   /// Threads transport only: max messages per drained inbox batch (tail-

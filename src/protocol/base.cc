@@ -106,7 +106,7 @@ void BaseProtocol::Navigate(Action a) {
   }
   const bool inline_descent = p_.config().local_fastpath;
   size_t inline_hops = 0;
-  for (;;) {
+  for (bool first = true;; first = false) {
     Node* n = Local(a.target);
     if (n == nullptr) {
       ProcessorId dest = ResolveDest(a.target, a.level);
@@ -117,6 +117,9 @@ void BaseProtocol::Navigate(Action a) {
       }
       break;
     }
+    // Reaching a local copy inline saved the self-send that per-hop mode
+    // makes; a step that lands on a remote copy saved nothing.
+    if (!first) ++inline_hops;
     if (ReadBlocked(*n)) {
       p_.aas().Defer(n->id(), std::move(a));
       break;
@@ -133,7 +136,6 @@ void BaseProtocol::Navigate(Action a) {
       }
       a.target = n->right();
       a.level = n->level();
-      ++inline_hops;
       continue;
     }
     if (!n->is_leaf()) {
@@ -144,7 +146,6 @@ void BaseProtocol::Navigate(Action a) {
       }
       a.target = child;
       a.level = n->level() - 1;
-      ++inline_hops;
       continue;
     }
     // Leaf reached.
@@ -170,8 +171,6 @@ void BaseProtocol::Navigate(Action a) {
     }
     break;
   }
-  // Each inline continuation replaced one self-send round trip through
-  // the local queue.
   if (inline_hops > 0) {
     p_.out().network()->stats().OnFastpathRead(inline_hops);
   }

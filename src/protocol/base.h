@@ -2,7 +2,7 @@
 // replica-maintenance algorithm in §4.
 //
 // It implements the Shasha-Goodman link-style navigation the dB-tree
-// inherits (§1.1): one node visit per action, misnavigation recovery via
+// inherits (§1.1): one node visit at a time, misnavigation recovery via
 // the right-sibling link, completion messages back to the operation's
 // origin, lazily-propagated root growth, and the bookkeeping hooks for the
 // §3 history checkers. Concrete protocols supply the replica-coherence
@@ -79,18 +79,23 @@ class BaseProtocol : public ProtocolHandler {
 
   // --- navigation (kSearch / kInsertOp) ---
   //
-  // Classic mode: one node visit per invocation — every hop, even between
-  // two locally stored copies, is a self-send through the queue manager
-  // (one full inbox round trip per level). With
-  // TreeConfig::local_fastpath the descent instead continues *inline*
-  // while the next node is locally replicated: root-everywhere placement
-  // means a search usually walks root → interior → leaf-home entirely
-  // inside one delivery, and only the final leaf hop (or a misnavigation
-  // onto a remote sibling) crosses the queue manager. Local copies may be
-  // stale — that is exactly the staleness §4.2 side-link recovery
-  // absorbs, so no extra correctness machinery is needed. Atomicity is
-  // unchanged: the whole inline walk runs within one Deliver, and each
-  // node visit still touches one node at a time.
+  // The descent continues *inline* while the next node is locally stored
+  // (TreeConfig::local_fastpath, on by default on both transports):
+  // root-everywhere placement means an op walks root → interior →
+  // leaf-home inside one delivery, so it costs one delivery per processor
+  // it visits rather than one per tree level. Only a hop to a remote copy
+  // (the leaf's home, or a misnavigation onto a remote sibling) crosses
+  // the queue manager. Local copies may be stale — that is exactly the
+  // staleness §4.2 side-link recovery absorbs, so no extra correctness
+  // machinery is needed. Atomicity is unchanged: the whole inline walk
+  // runs within one Deliver, and each node visit still touches one node
+  // at a time.
+  //
+  // Per-hop mode (local_fastpath off): one node visit per invocation, and
+  // every hop, even between two locally stored copies, is a self-send
+  // through the queue manager. It survives as the finer model the
+  // schedule explorer and lazytree_verify interleave, one node visit per
+  // scheduling point.
   void Navigate(Action a);
 
   /// Routes a completed kReturnValue to the op's origin. With

@@ -104,6 +104,7 @@ void Processor::Crash() {
   for (NodeId id : ids) RemoveNode(id);
   store_.Reset();
   aas_.Reset();
+  out_.DropBuffers();  // held relays die with the processor, unsent
   handler_.reset();  // parked actions and protocol state are volatile too
   ops_.FailAllPending(Status::Unavailable("processor crashed"));
 }

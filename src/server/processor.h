@@ -50,12 +50,14 @@ struct TreeConfig {
   /// multi-action message each — one message carries many ops past the
   /// hot root replica. Resolved from ClusterOptions::combine_ops.
   bool combine_ops = false;
-  /// Local-replica read fast path: navigation descends through locally
-  /// replicated copies inline (no queue-manager round trip per hop), and
-  /// kReturnValue to self completes the op directly. Staleness is
+  /// Inline local descent, the shipped navigation path: an op walks the
+  /// locally stored copies inline (no queue-manager round trip per hop),
+  /// and kReturnValue to self completes the op directly. Staleness is
   /// absorbed by §4.2 side-link misnavigation recovery, exactly as for a
-  /// stale remote replica. Resolved from ClusterOptions::local_read_fastpath.
-  bool local_fastpath = false;
+  /// stale remote replica. False selects the per-hop model (one node
+  /// visit per delivery) that schedule exploration uses. Set from
+  /// ClusterOptions::local_read_fastpath.
+  bool local_fastpath = true;
 };
 
 class Processor : public net::Receiver {
@@ -123,10 +125,10 @@ class Processor : public net::Receiver {
 
   /// Fail-stop crash: every volatile structure is lost — node copies
   /// (their deaths are recorded with the history log), forwarding
-  /// addresses, the root hint, parked/deferred actions, and the protocol
-  /// handler's state. Outstanding client operations fail Unavailable.
-  /// The network must already be dropping this processor's inbound
-  /// messages (SimNetwork::Crash).
+  /// addresses, the root hint, parked/deferred actions, the queue
+  /// manager's held relays, and the protocol handler's state. Outstanding
+  /// client operations fail Unavailable. The network must already be
+  /// dropping this processor's inbound messages (SimNetwork::Crash).
   void Crash();
 
   /// Brings the processor back with a fresh protocol handler and (when

@@ -32,6 +32,13 @@ void QueueManager::FlushHeld() {
   }
 }
 
+void QueueManager::DropBuffers() {
+  LAZYTREE_CHECK(combine_depth_ == 0) << "DropBuffers inside a scope";
+  boxes_.clear();
+  flush_order_.clear();
+  held_ = 0;
+}
+
 void QueueManager::SendBuffer(Outbox& box) {
   held_ -= box.held;
   box.held = 0;

@@ -114,6 +114,11 @@ class QueueManager {
   /// scope.
   void FlushHeld();
 
+  /// Discards every buffer unsent, held relays included: a fail-stop
+  /// crash loses the processor's volatile outbound state. Delivering
+  /// thread only, outside any scope.
+  void DropBuffers();
+
   /// Relayed actions held for a later message, over all destinations.
   /// Read it on the delivering thread or at quiescence.
   size_t held() const { return held_; }

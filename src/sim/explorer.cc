@@ -82,7 +82,7 @@ EpisodeResult RunEpisodeImpl(const EpisodeConfig& config,
   options.tree.interior_replication = config.interior_replication;
   options.tree.shed_threshold = config.shed_threshold;
   options.combine_ops = config.combine_ops ? 1 : 0;
-  options.local_read_fastpath = config.local_fastpath ? 1 : 0;
+  options.local_read_fastpath = config.local_fastpath;
   // The episode's verification battery records violations for the trace /
   // report pipeline; the quiescence hook would abort on the first one.
   options.check_histories = false;

@@ -89,7 +89,9 @@ struct EpisodeConfig {
   /// Multicore execution knobs (TreeConfig::combine_ops /
   /// local_fastpath), explored on the sim transport so the §3.1 checkers
   /// and the oracle vet the fused/fast-path histories under adversarial
-  /// schedules. Default off — old recorded traces replay byte-for-byte
+  /// schedules. Both default off here although a Cluster ships with
+  /// inline descent on: an episode explores the per-hop model, one node
+  /// visit per delivery, and old recorded traces replay byte-for-byte
   /// (their meta simply lacks the keys, which reads as 0).
   bool combine_ops = false;
   bool local_fastpath = false;

@@ -2,9 +2,10 @@
 //
 // Battery mode (default, what CI runs) exhausts one bounded configuration
 // per protocol — every delivery schedule, §3.1 checks at every quiescent
-// point — and then proves the checker can actually detect violations by
-// planting each ScheduleMutation and requiring a violating schedule plus a
-// replayable minimized trace:
+// point — under per-hop navigation, under inline local descent and under
+// one bounded drop, and then proves the checker can actually detect
+// violations by planting each ScheduleMutation and requiring a violating
+// schedule plus a replayable minimized trace:
 //
 //   lazytree_verify
 //
@@ -179,11 +180,20 @@ int RunBattery() {
     bool expect_violation;
   };
   std::vector<Item> items;
-  for (ProtocolKind protocol :
-       {ProtocolKind::kSyncSplit, ProtocolKind::kSemiSyncSplit,
-        ProtocolKind::kMobile, ProtocolKind::kVarCopies}) {
-    items.push_back({ProtocolKindName(protocol), BoundedConfig(protocol),
-                     /*expect_violation=*/false});
+  // Per-hop navigation first, then inline local descent, the path a
+  // Cluster ships with: each op walks its processor's local copies inside
+  // one delivery, so the scheduler gets one interleaving point per
+  // processor visited instead of per node.
+  for (bool inline_descent : {false, true}) {
+    for (ProtocolKind protocol :
+         {ProtocolKind::kSyncSplit, ProtocolKind::kSemiSyncSplit,
+          ProtocolKind::kMobile, ProtocolKind::kVarCopies}) {
+      Item item{std::string(ProtocolKindName(protocol)) +
+                    (inline_descent ? "-inline" : ""),
+                BoundedConfig(protocol), /*expect_violation=*/false};
+      item.config.episode.local_fastpath = inline_descent;
+      items.push_back(std::move(item));
+    }
   }
   // Bounded loss: the same protocols with a drop budget of 1 and the
   // reliable layer recovering every loss. Each DFS frame forks a drop

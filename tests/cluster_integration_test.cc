@@ -299,6 +299,90 @@ TEST_P(SplitParentRoutingTest, SeparatorInsertsStayLocalAndMatchOracle) {
   ExpectMatchesOracle(cluster, oracle);
 }
 
+// A Cluster descends through its local copies inline by default, on the
+// sim as on threads: with the root and interiors everywhere an op costs
+// one delivery per processor it visits, so self-sends stay near one per
+// op (the client's submission) instead of one per tree level.
+TEST(ClusterBasics, DefaultOptionsDescendLocalCopiesInline) {
+  constexpr uint32_t kProcessors = 8;
+  ClusterOptions o;  // no execution knob set
+  o.processors = kProcessors;
+  o.protocol = ProtocolKind::kSemiSyncSplit;
+  o.tree.max_entries = 8;
+  o.tree.interior_replication = 0;  // root and interiors everywhere
+  Cluster cluster(o);
+  cluster.Start();
+  Oracle oracle;
+  const std::vector<Key> keys = RandomKeys(2048, 17);
+  size_t ops = 0;
+  size_t misses = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const ProcessorId home = static_cast<ProcessorId>(i % kProcessors);
+    cluster.InsertAsync(home, keys[i], keys[i] + 3, [](const OpResult& r) {
+      EXPECT_TRUE(r.status.ok());
+    });
+    ASSERT_TRUE(oracle.Insert(keys[i], keys[i] + 3).ok());
+    // From the second batch on, search a key of an earlier, drained batch.
+    if (i >= 512) {
+      cluster.SearchAsync((home + 3) % kProcessors, keys[i / 4],
+                          [&misses](const OpResult& r) {
+                            if (!r.status.ok()) ++misses;
+                          });
+      ++ops;
+    }
+    ++ops;
+    if (i % 512 == 511) {
+      ASSERT_TRUE(cluster.Settle());
+    }
+  }
+  ASSERT_TRUE(cluster.Settle());
+  EXPECT_EQ(misses, 0u);
+  const net::StatsSnapshot stats = cluster.NetStats();
+  const double local_per_op = static_cast<double>(stats.local_messages) /
+                              static_cast<double>(ops);
+  EXPECT_LE(local_per_op, 1.2)
+      << "local hops went through the queue: " << stats.ToString();
+  EXPECT_GT(stats.fastpath_reads, 0u);
+  const std::vector<std::string> structure = cluster.CheckTreeStructure();
+  EXPECT_TRUE(structure.empty()) << structure.front();
+  ExpectMatchesOracle(cluster, oracle);
+}
+
+// With the root everywhere, every node a search visits is either the first
+// of a delivery (the client's submission, or a hop that crossed to the
+// leaf's home) or reached inline through a local copy, which
+// fastpath_reads counts. A step that lands on a remote copy is a send, not
+// a saved self-send.
+TEST(ClusterBasics, FastpathReadsCountOnlyStepsOntoLocalCopies) {
+  constexpr uint32_t kProcessors = 8;
+  ClusterOptions o = SimOptions(ProtocolKind::kSemiSyncSplit, kProcessors,
+                                9, /*fanout=*/8);
+  o.local_read_fastpath = true;
+  Cluster cluster(o);
+  cluster.Start();
+  const std::vector<Key> keys = RandomKeys(1500, 23);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    cluster.InsertAsync(static_cast<ProcessorId>(i % kProcessors), keys[i],
+                        keys[i], [](const OpResult&) {});
+  }
+  ASSERT_TRUE(cluster.Settle());
+
+  const net::StatsSnapshot before = cluster.NetStats();
+  uint64_t visits = 0;
+  for (size_t i = 0; i < 512; ++i) {
+    cluster.SearchAsync(static_cast<ProcessorId>(i % kProcessors),
+                        keys[i * 2], [&visits](const OpResult& r) {
+                          EXPECT_TRUE(r.status.ok());
+                          visits += r.hops;
+                        });
+  }
+  ASSERT_TRUE(cluster.Settle());
+  const net::StatsSnapshot delta = cluster.NetStats() - before;
+  EXPECT_GT(delta.remote_messages, 0u);
+  EXPECT_EQ(visits,
+            delta.fastpath_reads + delta.ActionCount(ActionKind::kSearch));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     FullAndPartialInteriors, SplitParentRoutingTest,
     ::testing::Values(SplitParentCase{ProtocolKind::kSyncSplit, 0},

@@ -1,7 +1,8 @@
 // Exhaustive bounded verification tests (src/sim/exhaustive.h).
 //
 // These pin the acceptance surface of lazytree_verify: every shipped
-// protocol's bounded configuration exhausts clean within tier-1 time, the
+// protocol's bounded configuration exhausts clean within tier-1 time, under
+// both per-hop navigation and inline local descent, the
 // commutativity-guided POR + state dedup reduce the explored executions by
 // well over the required factor versus the naive DFS, the POR runtime
 // cross-check and prefix-replay determinism check stay silent on healthy
@@ -61,21 +62,29 @@ VerifyConfig SwapMutationConfig() {
 }
 
 // Every protocol's bounded schedule space must exhaust with zero
-// violations, zero cross-check failures, and zero determinism failures.
+// violations, zero cross-check failures, and zero determinism failures,
+// under per-hop navigation and under inline local descent (the path a
+// Cluster ships with: each op walks its processor's copies in one
+// delivery).
 TEST(ExhaustiveVerify, BoundedConfigsExhaustCleanOnAllProtocols) {
-  for (ProtocolKind protocol :
-       {ProtocolKind::kSyncSplit, ProtocolKind::kSemiSyncSplit,
-        ProtocolKind::kMobile, ProtocolKind::kVarCopies}) {
-    SCOPED_TRACE(ProtocolKindName(protocol));
-    VerifyResult result = VerifyExhaustive(BoundedConfig(protocol));
-    EXPECT_TRUE(result.ok) << result.Summary();
-    EXPECT_TRUE(result.exhausted) << result.Summary();
-    EXPECT_TRUE(result.violations.empty());
-    EXPECT_GT(result.stats.schedules, 0u);
-    EXPECT_GT(result.stats.pruned_sleep, 0u);  // POR actually engaged
-    EXPECT_GT(result.stats.cross_checks, 0u);
-    EXPECT_EQ(result.stats.cross_check_failures, 0u);
-    EXPECT_EQ(result.stats.determinism_failures, 0u);
+  for (bool inline_descent : {false, true}) {
+    for (ProtocolKind protocol :
+         {ProtocolKind::kSyncSplit, ProtocolKind::kSemiSyncSplit,
+          ProtocolKind::kMobile, ProtocolKind::kVarCopies}) {
+      SCOPED_TRACE(std::string(ProtocolKindName(protocol)) +
+                   (inline_descent ? "-inline" : ""));
+      VerifyConfig config = BoundedConfig(protocol);
+      config.episode.local_fastpath = inline_descent;
+      VerifyResult result = VerifyExhaustive(config);
+      EXPECT_TRUE(result.ok) << result.Summary();
+      EXPECT_TRUE(result.exhausted) << result.Summary();
+      EXPECT_TRUE(result.violations.empty());
+      EXPECT_GT(result.stats.schedules, 0u);
+      EXPECT_GT(result.stats.pruned_sleep, 0u);  // POR actually engaged
+      EXPECT_GT(result.stats.cross_checks, 0u);
+      EXPECT_EQ(result.stats.cross_check_failures, 0u);
+      EXPECT_EQ(result.stats.determinism_failures, 0u);
+    }
   }
 }
 

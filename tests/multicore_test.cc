@@ -35,8 +35,8 @@ ClusterOptions MulticoreOptions(uint32_t processors, uint64_t seed,
   o.protocol = ProtocolKind::kSemiSyncSplit;
   o.transport = transport;
   o.seed = seed;
-  o.combine_ops = 1;          // force on (also on sim)
-  o.local_read_fastpath = 1;  // force on (also on sim)
+  o.combine_ops = 1;             // force on (also on sim)
+  o.local_read_fastpath = true;  // the default, on both transports
   o.tree.max_entries = 8;
   o.tree.track_history = true;
   return o;

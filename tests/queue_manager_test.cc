@@ -253,6 +253,49 @@ TEST(QueueManager, SettleFlushesHeldRelays) {
   EXPECT_TRUE(cluster.VerifyHistories().ok());
 }
 
+/// Counts delivered messages that processor `from` sent to a peer.
+class RemoteSendCounter : public net::DeliveryObserver {
+ public:
+  explicit RemoteSendCounter(ProcessorId from) : from_(from) {}
+  void OnDelivery(ProcessorId from, ProcessorId to,
+                  net::DeliveryOutcome) override {
+    if (from == from_ && to != from_) ++sent;
+  }
+  void OnCrash(ProcessorId) override {}
+  void OnRestart(ProcessorId) override {}
+  size_t sent = 0;
+
+ private:
+  ProcessorId from_;
+};
+
+// A fail-stop crash loses the queue manager's held relays with the rest of
+// the processor's volatile state: the following Settle must not send them.
+TEST(QueueManager, CrashDropsHeldRelays) {
+  ClusterOptions o;
+  o.processors = 3;
+  o.protocol = ProtocolKind::kSyncSplit;
+  o.tree.leaf_replication = 2;  // client inserts are relayed
+  o.piggyback_window = 64;
+  Cluster cluster(o);
+  cluster.Start();
+  for (Key k = 1; k <= 10; ++k) {
+    cluster.InsertAsync(0, k, k, [](const OpResult&) {});
+  }
+  while (cluster.sim()->Step()) {
+  }
+  ASSERT_GT(cluster.processor(1).out().held(), 0u)
+      << "the drained sim left relays held on p1";
+  cluster.CrashProcessor(1);
+  EXPECT_EQ(cluster.processor(1).out().held(), 0u);
+  RemoteSendCounter p1_sends(1);
+  cluster.sim()->SetObserver(&p1_sends);
+  ASSERT_TRUE(cluster.Settle());
+  cluster.sim()->SetObserver(nullptr);
+  EXPECT_EQ(p1_sends.sent, 0u) << "a crashed processor sent its held relays";
+  EXPECT_EQ(cluster.HeldRelays(), 0u);
+}
+
 TEST(QueueManager, PiggybackZeroWindowPassesThrough) {
   net::SimNetwork base(1);
   Recorder r0, r1;
