@@ -603,8 +603,9 @@ int Run(int argc, char** argv) {
         RunThreadsScenario(ycsb_c, records, ops, p, seed));
     result.scaling_procs.push_back(p);
   }
-  std::printf("ycsb-c threads scaling (1 hardware thread available: %u)\n",
-              AvailableCpus());
+  const unsigned cpus = AvailableCpus();
+  std::printf("ycsb-c threads scaling (%u hardware thread%s available)\n",
+              cpus, cpus == 1 ? "" : "s");
   Table sc({"threads", "ops/sec", "speedup", "rmsg/op", "p99µs"});
   sc.Header();
   for (size_t i = 0; i < result.scaling.size(); ++i) {

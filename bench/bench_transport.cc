@@ -136,7 +136,7 @@ TransportResult RunTransportBench(const MixSpec& mix, int stations,
             Action a;
             if (i % split_every == split_every - 1) {
               a.kind = ActionKind::kRelayedSplit;
-              a.snapshot = split_snapshot;
+              a.mutable_snapshot() = split_snapshot;
             } else {
               a.kind = ActionKind::kRelayedInsert;
             }

@@ -203,7 +203,7 @@ void Cluster::MigrateNode(NodeId node, ProcessorId host_hint,
   Action cmd;
   cmd.kind = ActionKind::kMigrateNode;
   cmd.target = node;
-  cmd.members = {dest};
+  cmd.mutable_members().push_back(dest);
   if (sim_ != nullptr) {
     // Sent as if by `dest`: relays it holds for `host_hint` ride ahead.
     processors_[dest]->out().SendAction(host_hint, std::move(cmd));

@@ -43,6 +43,8 @@ const char* ActionKindName(ActionKind kind) {
   return "?";
 }
 
+constinit const ActionPayload Action::kEmptyPayload{};
+
 std::string Action::ToString() const {
   std::ostringstream os;
   os << ActionKindName(kind) << "(" << target.ToString();

@@ -10,6 +10,7 @@
 #define LAZYTREE_MSG_ACTION_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -250,8 +251,27 @@ static_assert(action_internal::CommutativityTableIsSound(),
 /// Which link a kLinkChange re-points.
 enum class LinkKind : uint8_t { kRight = 0, kLeft = 1, kParent = 2 };
 
+/// The fields only a few kinds use (create, join, migrate, split end and
+/// scan), kept out of line so the common action stays small.
+struct ActionPayload {
+  // Membership payload (join / unjoin / create).
+  std::vector<ProcessorId> members;
+
+  // Node payload (create / join grant / migrate / split end).
+  NodeSnapshot snapshot;
+
+  // Scan accumulator (kScanOp gathers as it walks; kReturnValue carries
+  // the final batch home). `Action::value` holds the scan limit.
+  std::vector<Entry> range_results;
+};
+
 /// One action plus its routing metadata. A single struct covers all kinds;
 /// unused fields stay at their defaults and encode compactly (wire.h).
+///
+/// The rarely used fields live in an ActionPayload that the action owns
+/// and allocates on the first mutable_*() call, so a search or an insert
+/// never touches the heap for them. Reading an absent field sees an empty
+/// one. Copies deep-copy the payload: actions keep value semantics.
 struct Action {
   ActionKind kind = ActionKind::kInvalid;
   NodeId target = kInvalidNode;  ///< logical node the action addresses
@@ -276,15 +296,33 @@ struct Action {
   Key sep = 0;                     ///< separator key (new sibling's low)
   LinkKind link = LinkKind::kRight;
 
-  // Membership payload (join / unjoin / create).
-  std::vector<ProcessorId> members;
+  /// The out-of-line fields; an empty payload when none was allocated.
+  const ActionPayload& payload() const {
+    return payload_.get() != nullptr ? *payload_.get() : kEmptyPayload;
+  }
+  /// Allocates the payload on first use.
+  ActionPayload& mutable_payload() { return payload_.GetOrCreate(); }
+  bool has_payload() const { return payload_.get() != nullptr; }
 
-  // Node payload (create / join grant / migrate / split end).
-  NodeSnapshot snapshot;
-
-  // Scan accumulator (kScanOp gathers as it walks; kReturnValue carries
-  // the final batch home). `value` holds the scan limit.
-  std::vector<Entry> range_results;
+  const std::vector<ProcessorId>& members() const {
+    return payload().members;
+  }
+  std::vector<ProcessorId>& mutable_members() {
+    return mutable_payload().members;
+  }
+  const NodeSnapshot& snapshot() const { return payload().snapshot; }
+  NodeSnapshot& mutable_snapshot() { return mutable_payload().snapshot; }
+  const std::vector<Entry>& range_results() const {
+    return payload().range_results;
+  }
+  std::vector<Entry>& mutable_range_results() {
+    return mutable_payload().range_results;
+  }
+  /// Moves the scan results out without allocating a payload.
+  std::vector<Entry> take_range_results() {
+    return has_payload() ? std::move(payload_.get()->range_results)
+                         : std::vector<Entry>();
+  }
 
   std::string ToString() const;
 
@@ -298,7 +336,41 @@ struct Action {
            kind == ActionKind::kRelayedJoin ||
            kind == ActionKind::kRelayedUnjoin;
   }
+
+ private:
+  /// Owns the payload; copying copies it, moving hands the pointer over.
+  class PayloadBox {
+   public:
+    PayloadBox() = default;
+    PayloadBox(const PayloadBox& other)
+        : p_(other.p_ != nullptr ? std::make_unique<ActionPayload>(*other.p_)
+                                 : nullptr) {}
+    PayloadBox& operator=(const PayloadBox& other) {
+      if (this != &other) *this = PayloadBox(other);
+      return *this;
+    }
+    PayloadBox(PayloadBox&&) noexcept = default;
+    PayloadBox& operator=(PayloadBox&&) noexcept = default;
+
+    ActionPayload* get() const { return p_.get(); }
+    ActionPayload& GetOrCreate() {
+      if (p_ == nullptr) p_ = std::make_unique<ActionPayload>();
+      return *p_;
+    }
+
+   private:
+    std::unique_ptr<ActionPayload> p_;
+  };
+
+  static const ActionPayload kEmptyPayload;
+
+  PayloadBox payload_;
 };
+
+// Every delivery moves actions through the outbound buffer, the codec and
+// the inbox; the hot kinds carry no payload, so keep the inline part to
+// two cache lines.
+static_assert(sizeof(Action) <= 128, "Action grew past two cache lines");
 
 }  // namespace lazytree
 

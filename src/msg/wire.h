@@ -21,8 +21,21 @@ namespace wire {
 /// Append-only byte sink.
 class Writer {
  public:
-  void PutVarint(uint64_t v);
-  void PutFixed8(uint8_t v);
+  Writer() = default;
+  /// Writes into `buf`'s storage: its contents are cleared, its capacity
+  /// is kept, so a recycled buffer encodes without allocating.
+  explicit Writer(std::vector<uint8_t> buf) : buf_(std::move(buf)) {
+    buf_.clear();
+  }
+
+  void PutVarint(uint64_t v) {
+    if (v < 0x80) {  // most fields: ids of small clusters, zeros, flags
+      buf_.push_back(static_cast<uint8_t>(v));
+      return;
+    }
+    PutVarintSlow(v);
+  }
+  void PutFixed8(uint8_t v) { buf_.push_back(v); }
   void PutBool(bool v) { PutFixed8(v ? 1 : 0); }
   /// Pre-grows the buffer for `n` more bytes so a burst of small appends
   /// (every field here is a 1-10 byte varint) lands in one allocation.
@@ -31,6 +44,8 @@ class Writer {
   size_t size() const { return buf_.size(); }
 
  private:
+  void PutVarintSlow(uint64_t v);
+
   std::vector<uint8_t> buf_;
 };
 
@@ -65,13 +80,16 @@ class Reader {
   }
   bool AtEnd() const { return pos_ == size_; }
 
- private:
-  uint64_t VarintSlow();
+  /// Latches a failure found by a decoder (a bad enum value, say) with
+  /// the same sticky effect as a truncated read; returns 0.
   uint8_t Fail(const char* why) {
     if (error_ == nullptr) error_ = why;
     pos_ = size_;
     return 0;
   }
+
+ private:
+  uint64_t VarintSlow();
 
   const uint8_t* data_;
   size_t size_;
@@ -81,8 +99,12 @@ class Reader {
 
 /// Encodes a full message (envelope + all actions).
 std::vector<uint8_t> EncodeMessage(const Message& m);
+/// Same bytes, written into `buf` (contents replaced, capacity reused).
+std::vector<uint8_t> EncodeMessage(const Message& m, std::vector<uint8_t> buf);
 
-/// Decodes a message; fails on truncation or unknown kinds.
+/// Decodes a message; fails on truncation or unknown kinds. Actions are
+/// decoded in place into one pre-sized vector, and an action's payload is
+/// allocated only when the bytes carry one of its fields.
 StatusOr<Message> DecodeMessage(const std::vector<uint8_t>& bytes);
 
 /// Encoded size without materializing the buffer (for stats): runs the
@@ -91,11 +113,13 @@ StatusOr<Message> DecodeMessage(const std::vector<uint8_t>& bytes);
 /// random messages).
 size_t EncodedSize(const Message& m);
 
-// Exposed for unit tests.
+// Exposed for unit tests and fingerprints. The decoders fill a
+// default-constructed argument in place and latch any failure in the
+// reader (check r.ok()).
 void EncodeAction(Writer& w, const Action& a);
-StatusOr<Action> DecodeAction(Reader& r);
+void DecodeAction(Reader& r, Action& a);
 void EncodeSnapshot(Writer& w, const NodeSnapshot& s);
-StatusOr<NodeSnapshot> DecodeSnapshot(Reader& r);
+void DecodeSnapshot(Reader& r, NodeSnapshot& s);
 
 }  // namespace wire
 }  // namespace lazytree

@@ -73,7 +73,12 @@ void SimNetwork::Restart(ProcessorId p) {
 void SimNetwork::Send(Message m) {
   LAZYTREE_CHECK(m.to < receivers_.size() && receivers_[m.to] != nullptr)
       << "send to unregistered p" << m.to;
-  std::vector<uint8_t> encoded = wire::EncodeMessage(m);
+  std::vector<uint8_t> spare;
+  if (!spare_bytes_.empty()) {
+    spare = std::move(spare_bytes_.back());
+    spare_bytes_.pop_back();
+  }
+  std::vector<uint8_t> encoded = wire::EncodeMessage(m, std::move(spare));
   stats_.OnSend(m, encoded.size());
   if (latency_mode_) {
     LAZYTREE_CHECK(m.from < receivers_.size())
@@ -159,15 +164,18 @@ bool SimNetwork::Step() {
   }
   if (outcome == DeliveryOutcome::kCrashDrop) {
     ++crash_dropped_;
+    RecycleBytes(std::move(encoded));
     return true;
   }
   if (outcome == DeliveryOutcome::kDrop) {
     ++dropped_;  // injected fault: the message vanishes
+    RecycleBytes(std::move(encoded));
     return true;
   }
   auto decoded = wire::DecodeMessage(encoded);
   LAZYTREE_CHECK(decoded.ok()) << "wire corruption: "
                                << decoded.status().ToString();
+  RecycleBytes(std::move(encoded));
   if (mutation_ == ScheduleMutation::kDropRelay && !mutation_applied_) {
     mutation_applied_ = MaybeDropRelay(*decoded);
   }
@@ -252,6 +260,13 @@ bool SimNetwork::MaybeDropRelay(Message& m) {
     }
   }
   return false;
+}
+
+void SimNetwork::RecycleBytes(std::vector<uint8_t> bytes) {
+  if (spare_bytes_.size() < kMaxSpareBuffers &&
+      bytes.capacity() <= kMaxSpareBytes) {
+    spare_bytes_.push_back(std::move(bytes));
+  }
 }
 
 bool SimNetwork::WaitQuiescent(std::chrono::milliseconds timeout) {

@@ -120,6 +120,17 @@ class SimNetwork : public Network {
   /// Applies a planted kDropRelay to a decoded message about to be
   /// delivered; returns true when an action was stripped.
   bool MaybeDropRelay(Message& m);
+  /// Hands a delivered message's bytes to the free list Send draws from.
+  void RecycleBytes(std::vector<uint8_t> bytes);
+
+  // Encoded-byte buffers whose message was decoded (or dropped), reused
+  // by the next Send so a steady-state delivery encodes without
+  // allocating. Both caps bound the memory the list can pin: a burst
+  // larger than kMaxSpareBuffers frees the excess, and a buffer grown
+  // past kMaxSpareBytes by a node snapshot is freed, not kept.
+  static constexpr size_t kMaxSpareBuffers = 32;
+  static constexpr size_t kMaxSpareBytes = 4096;
+  std::vector<std::vector<uint8_t>> spare_bytes_;
 
   Rng rng_;
   std::vector<Receiver*> receivers_;

@@ -50,6 +50,11 @@ void NetworkStats::OnSend(const Message& m, size_t encoded_bytes) {
     remote_messages_.fetch_add(1, std::memory_order_relaxed);
     remote_bytes_.fetch_add(encoded_bytes, std::memory_order_relaxed);
   }
+  if (m.actions.size() == 1) {  // most messages: skip the histogram
+    actions_by_kind_[static_cast<size_t>(m.actions[0].kind)].fetch_add(
+        1, std::memory_order_relaxed);
+    return;
+  }
   // Coalesced messages repeat kinds, so aggregate locally and issue one
   // atomic RMW per distinct kind instead of one per action.
   uint32_t counts[static_cast<size_t>(ActionKind::kMaxKind)] = {};

@@ -187,12 +187,13 @@ void BaseProtocol::SendReturn(Action r) {
 
 void BaseProtocol::ContinueScan(Action a, Node& leaf) {
   const uint64_t limit = a.value;
+  std::vector<Entry>& results = a.mutable_range_results();
   for (const Entry& e : leaf.entries()) {
     if (e.key < a.key) continue;
-    if (a.range_results.size() >= limit) break;
-    a.range_results.push_back(e);
+    if (results.size() >= limit) break;
+    results.push_back(e);
   }
-  if (a.range_results.size() >= limit ||
+  if (results.size() >= limit ||
       leaf.right_low() == kKeyInfinity) {
     Action r;
     r.kind = ActionKind::kReturnValue;
@@ -200,7 +201,7 @@ void BaseProtocol::ContinueScan(Action a, Node& leaf) {
     r.key = a.key;
     r.rc = Action::Rc::kOk;
     r.hops = a.hops;
-    r.range_results = std::move(a.range_results);
+    r.mutable_range_results() = std::move(results);
     SendReturn(std::move(r));
     return;
   }
@@ -291,8 +292,8 @@ Node* BaseProtocol::InstallFromSnapshot(const NodeSnapshot& snapshot) {
 }
 
 void BaseProtocol::HandleCreateNode(Action a) {
-  LAZYTREE_CHECK(a.snapshot.valid()) << "create without snapshot";
-  InstallFromSnapshot(a.snapshot);
+  LAZYTREE_CHECK(a.snapshot().valid()) << "create without snapshot";
+  InstallFromSnapshot(a.snapshot());
 }
 
 void BaseProtocol::HandleRootHint(Action a) {
@@ -308,7 +309,7 @@ void BaseProtocol::DistributeCopies(const NodeSnapshot& snapshot) {
       create.kind = ActionKind::kCreateNode;
       create.target = snapshot.id;
       create.level = snapshot.level;
-      create.snapshot = snapshot;
+      create.mutable_snapshot() = snapshot;
       p_.out().SendAction(holder, std::move(create));
     }
   }

@@ -206,7 +206,7 @@ void MobileProtocol::LocalSplit(Node& n) {
     Action cmd;
     cmd.kind = ActionKind::kMigrateNode;
     cmd.target = sibling_id;
-    cmd.members = {dest};
+    cmd.mutable_members().push_back(dest);
     p_.out().SendLocal(std::move(cmd));
   }
 }
@@ -278,9 +278,9 @@ void MobileProtocol::ApplyGatedLinkChange(Node& m, const Action& a,
 }
 
 void MobileProtocol::HandleMigrateNode(Action a) {
-  if (a.snapshot.valid()) {
+  if (a.snapshot().valid()) {
     // Destination side: install, advertise, acknowledge.
-    Node* n = InstallFromSnapshot(a.snapshot);
+    Node* n = InstallFromSnapshot(a.snapshot());
     NoteAddr(n->id(), p_.id(), n->version());
     RecordUpdate(*n, history::UpdateClass::kMigrate, a.update,
                  /*initial=*/true, /*rewritten=*/false, 0, 0,
@@ -310,12 +310,12 @@ void MobileProtocol::HandleMigrateNode(Action a) {
     }
     return;
   }
-  if (a.members.empty() || a.members[0] == p_.id() ||
-      a.members[0] >= p_.cluster_size()) {
+  if (a.members().empty() || a.members()[0] == p_.id() ||
+      a.members()[0] >= p_.cluster_size()) {
     LAZYTREE_DEBUG << "migrate command with self/bad destination: no-op";
     return;
   }
-  const ProcessorId dest = a.members[0];
+  const ProcessorId dest = a.members()[0];
   UpdateId u = NewRegisteredUpdate(history::UpdateClass::kMigrate, n->id(),
                                    0, 0);
   n->bump_version();
@@ -324,11 +324,11 @@ void MobileProtocol::HandleMigrateNode(Action a) {
   install.target = n->id();
   install.update = u;
   install.version = n->version();
-  install.snapshot = n->ToSnapshot();
+  install.mutable_snapshot() = n->ToSnapshot();
   install.origin = p_.id();
   const NodeId id = n->id();
   const Version version = n->version();
-  const NodeSnapshot departed = install.snapshot;
+  const NodeSnapshot departed = install.snapshot();
   p_.RemoveNode(id, /*forward_to=*/dest);  // leaves a forwarding address
   NoteAddr(id, dest, version);
   p_.out().SendAction(dest, std::move(install));

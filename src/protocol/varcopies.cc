@@ -324,8 +324,8 @@ void VarCopiesProtocol::HandleRelayedSplit(Action a) {
 }
 
 void VarCopiesProtocol::HandleCreateNode(Action a) {
-  const NodeId id = a.snapshot.id;
-  const int32_t level = a.snapshot.level;
+  const NodeId id = a.snapshot().id;
+  const int32_t level = a.snapshot().level;
   unjoined_.erase(id);
   BaseProtocol::HandleCreateNode(std::move(a));
   // Interior siblings arrive with inherited membership; keep the copy
@@ -414,7 +414,7 @@ void VarCopiesProtocol::HandleJoin(Action a) {
   grant.target = n->id();
   grant.update = u;
   grant.version = n->version();
-  grant.snapshot = n->ToSnapshot();
+  grant.mutable_snapshot() = n->ToSnapshot();
   grant.origin = p_.id();
   p_.out().SendAction(a.origin, std::move(grant));
 
@@ -424,7 +424,7 @@ void VarCopiesProtocol::HandleJoin(Action a) {
   relayed.target = n->id();
   relayed.update = u;
   relayed.version = n->version();
-  relayed.members = {a.origin};
+  relayed.mutable_members().push_back(a.origin);
   relayed.origin = p_.id();
   for (ProcessorId member : n->copies()) {
     if (member != p_.id() && member != a.origin) {
@@ -443,7 +443,7 @@ void VarCopiesProtocol::HandleJoinGrant(Action a) {
   }
   if (Local(a.target) == nullptr) {
     unjoined_.erase(a.target);
-    Node* n = InstallFromSnapshot(a.snapshot);
+    Node* n = InstallFromSnapshot(a.snapshot());
     NoteAddr(n->id(), p_.id(), n->version());
   }
   // Resume every suspended path descent through the fresh copy.
@@ -456,12 +456,12 @@ void VarCopiesProtocol::HandleRelayedJoin(Action a) {
     ParkOrDiscardRelay(std::move(a));
     return;
   }
-  LAZYTREE_CHECK(!a.members.empty()) << "relayed join without member";
+  LAZYTREE_CHECK(!a.members().empty()) << "relayed join without member";
   if (a.version <= m->version()) return;  // already reflected (see split)
-  m->AddCopy(a.members[0]);
+  m->AddCopy(a.members()[0]);
   m->set_version(a.version);
   RecordUpdate(*m, history::UpdateClass::kMembership, a.update,
-               /*initial=*/false, /*rewritten=*/false, a.members[0], 1,
+               /*initial=*/false, /*rewritten=*/false, a.members()[0], 1,
                kInvalidNode, 0, a.version);
 }
 
@@ -497,7 +497,7 @@ void VarCopiesProtocol::HandleUnjoin(Action a) {
   relayed.target = n->id();
   relayed.update = u;
   relayed.version = n->version();
-  relayed.members = {a.origin};
+  relayed.mutable_members().push_back(a.origin);
   relayed.origin = p_.id();
   for (ProcessorId member : n->copies()) {
     if (member != p_.id()) p_.out().SendAction(member, relayed);
@@ -510,12 +510,12 @@ void VarCopiesProtocol::HandleRelayedUnjoin(Action a) {
     ParkOrDiscardRelay(std::move(a));
     return;
   }
-  LAZYTREE_CHECK(!a.members.empty()) << "relayed unjoin without member";
+  LAZYTREE_CHECK(!a.members().empty()) << "relayed unjoin without member";
   if (a.version <= m->version()) return;  // already reflected (see split)
-  m->RemoveCopy(a.members[0]);
+  m->RemoveCopy(a.members()[0]);
   m->set_version(a.version);
   RecordUpdate(*m, history::UpdateClass::kMembership, a.update,
-               /*initial=*/false, /*rewritten=*/false, a.members[0], 0,
+               /*initial=*/false, /*rewritten=*/false, a.members()[0], 0,
                kInvalidNode, 0, a.version);
 }
 

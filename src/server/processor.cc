@@ -60,7 +60,7 @@ void Processor::CompleteReturnLocal(Action action) {
   result.op = action.op;
   result.key = action.key;
   result.hops = action.hops;
-  result.entries = std::move(action.range_results);
+  result.entries = action.take_range_results();
   switch (action.rc) {
     case Action::Rc::kOk:
       result.status = Status::OK();

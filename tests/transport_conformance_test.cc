@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -332,11 +334,30 @@ TEST_P(TransportConformanceTest, LossyRecoveryIsObservable) {
       if (from != to) net->Send(Message(from, to, KeyedAction(0)));
     }
   }
-  ASSERT_TRUE(net->WaitQuiescent(std::chrono::milliseconds(20000)));
+  const auto wait_start = std::chrono::steady_clock::now();
+  const bool quiescent =
+      net->WaitQuiescent(std::chrono::milliseconds(20000));
+  const double wait_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - wait_start)
+                             .count();
+  auto snap = net->stats().Snapshot();
+  // Any failure below prints the whole run: a link declared down after a
+  // long WaitQuiescent points at a stalled host, one after a short wait
+  // at the retransmit budget.
+  std::ostringstream diag;
+  diag << "WaitQuiescent took " << wait_ms << " ms; faulty layer dropped="
+       << lossy->faulty().dropped()
+       << " duplicated=" << lossy->faulty().duplicated() << "; sink totals";
+  for (ProcessorId id = 0; id < kProcs; ++id) {
+    diag << " p" << id << "=" << sinks[id]->total();
+  }
+  diag << " (want " << (kRounds + 1) * (kProcs - 1) << " each); stats: "
+       << snap.ToString();
+  SCOPED_TRACE(diag.str());
+  ASSERT_TRUE(quiescent);
   // Recovery was real: the fault layer injected, the reliable layer paid.
   EXPECT_GT(lossy->faulty().dropped(), 0u);
   EXPECT_GT(lossy->faulty().duplicated(), 0u);
-  auto snap = net->stats().Snapshot();
   EXPECT_GT(snap.retransmits, 0u) << "drops must force retransmissions";
   EXPECT_GT(snap.duplicates_dropped, 0u)
       << "injected duplicates must be suppressed by the dedup window";

@@ -1,7 +1,11 @@
-// Wire-format tests: varints, action/snapshot/message round trips, and
-// rejection of malformed input.
+// Wire-format tests: varints, action/snapshot/message round trips, the
+// golden byte record, and rejection of malformed input.
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "src/msg/wire.h"
 #include "src/util/rng.h"
@@ -49,21 +53,22 @@ Action FullActionFixture() {
   a.new_node = NodeId::Make(1, 8);
   a.sep = 500;
   a.link = LinkKind::kLeft;
-  a.members = {0, 2, 5};
-  a.snapshot.id = NodeId::Make(9, 1);
-  a.snapshot.level = 1;
-  a.snapshot.range = {100, 900};
-  a.snapshot.version = 3;
-  a.snapshot.right = NodeId::Make(9, 2);
-  a.snapshot.right_low = 900;
-  a.snapshot.left = NodeId::Make(9, 3);
-  a.snapshot.parent = NodeId::Make(9, 4);
-  a.snapshot.link_versions[0] = 5;
-  a.snapshot.link_versions[2] = 7;
-  a.snapshot.entries = {{100, 11}, {200, 22}, {800, 33}};
-  a.snapshot.copies = {1, 2, 3};
-  a.snapshot.pc = 2;
-  a.snapshot.applied_updates = {4, 9, 16};
+  a.mutable_members() = {0, 2, 5};
+  NodeSnapshot& snap = a.mutable_snapshot();
+  snap.id = NodeId::Make(9, 1);
+  snap.level = 1;
+  snap.range = {100, 900};
+  snap.version = 3;
+  snap.right = NodeId::Make(9, 2);
+  snap.right_low = 900;
+  snap.left = NodeId::Make(9, 3);
+  snap.parent = NodeId::Make(9, 4);
+  snap.link_versions[0] = 5;
+  snap.link_versions[2] = 7;
+  snap.entries = {{100, 11}, {200, 22}, {800, 33}};
+  snap.copies = {1, 2, 3};
+  snap.pc = 2;
+  snap.applied_updates = {4, 9, 16};
   return a;
 }
 
@@ -83,22 +88,23 @@ void ExpectActionsEqual(const Action& a, const Action& b) {
   EXPECT_EQ(a.new_node, b.new_node);
   EXPECT_EQ(a.sep, b.sep);
   EXPECT_EQ(a.link, b.link);
-  EXPECT_EQ(a.members, b.members);
-  EXPECT_EQ(a.snapshot.id, b.snapshot.id);
-  EXPECT_EQ(a.snapshot.level, b.snapshot.level);
-  EXPECT_EQ(a.snapshot.range, b.snapshot.range);
-  EXPECT_EQ(a.snapshot.version, b.snapshot.version);
-  EXPECT_EQ(a.snapshot.right, b.snapshot.right);
-  EXPECT_EQ(a.snapshot.right_low, b.snapshot.right_low);
-  EXPECT_EQ(a.snapshot.left, b.snapshot.left);
-  EXPECT_EQ(a.snapshot.parent, b.snapshot.parent);
+  EXPECT_EQ(a.members(), b.members());
+  EXPECT_EQ(a.range_results(), b.range_results());
+  EXPECT_EQ(a.snapshot().id, b.snapshot().id);
+  EXPECT_EQ(a.snapshot().level, b.snapshot().level);
+  EXPECT_EQ(a.snapshot().range, b.snapshot().range);
+  EXPECT_EQ(a.snapshot().version, b.snapshot().version);
+  EXPECT_EQ(a.snapshot().right, b.snapshot().right);
+  EXPECT_EQ(a.snapshot().right_low, b.snapshot().right_low);
+  EXPECT_EQ(a.snapshot().left, b.snapshot().left);
+  EXPECT_EQ(a.snapshot().parent, b.snapshot().parent);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(a.snapshot.link_versions[i], b.snapshot.link_versions[i]);
+    EXPECT_EQ(a.snapshot().link_versions[i], b.snapshot().link_versions[i]);
   }
-  EXPECT_EQ(a.snapshot.entries, b.snapshot.entries);
-  EXPECT_EQ(a.snapshot.copies, b.snapshot.copies);
-  EXPECT_EQ(a.snapshot.pc, b.snapshot.pc);
-  EXPECT_EQ(a.snapshot.applied_updates, b.snapshot.applied_updates);
+  EXPECT_EQ(a.snapshot().entries, b.snapshot().entries);
+  EXPECT_EQ(a.snapshot().copies, b.snapshot().copies);
+  EXPECT_EQ(a.snapshot().pc, b.snapshot().pc);
+  EXPECT_EQ(a.snapshot().applied_updates, b.snapshot().applied_updates);
 }
 
 TEST(Wire, MessageRoundTripFull) {
@@ -123,7 +129,7 @@ TEST(Wire, MessageRoundTripDefaults) {
   EXPECT_EQ(decoded->actions[0].kind, ActionKind::kSearch);
   EXPECT_EQ(decoded->actions[0].level, -1);
   EXPECT_EQ(decoded->actions[0].origin, kInvalidProcessor);
-  EXPECT_FALSE(decoded->actions[0].snapshot.valid());
+  EXPECT_FALSE(decoded->actions[0].snapshot().valid());
 }
 
 TEST(Wire, MultiActionMessage) {
@@ -192,7 +198,10 @@ TEST(Wire, CorruptCountsFailInsteadOfThrowing) {
   snap.PutVarint(1ull << 40);                          // entries
   const std::vector<uint8_t> bytes = snap.Take();
   wire::Reader r(bytes);
-  EXPECT_FALSE(wire::DecodeSnapshot(r).ok());
+  NodeSnapshot decoded;
+  wire::DecodeSnapshot(r, decoded);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(decoded.entries.empty());
 }
 
 Action RandomAction(Rng& rng) {
@@ -214,39 +223,40 @@ Action RandomAction(Rng& rng) {
   a.sep = rng.Next();
   a.link = static_cast<LinkKind>(rng.Below(3));
   for (uint64_t i = rng.Below(6); i > 0; --i) {
-    a.members.push_back(static_cast<ProcessorId>(rng.Below(64)));
+    a.mutable_members().push_back(static_cast<ProcessorId>(rng.Below(64)));
   }
   if (rng.Chance(0.2)) {
     Key k = 0;
     for (uint64_t i = rng.Below(30); i > 0; --i) {
       k += 1 + rng.Below(1000);
-      a.range_results.push_back({k, rng.Next()});
+      a.mutable_range_results().push_back({k, rng.Next()});
     }
   }
   if (rng.Chance(0.3)) {
-    a.snapshot.id = NodeId{rng.Next() | 1};
-    a.snapshot.level = static_cast<int32_t>(rng.Below(5));
-    a.snapshot.range = {rng.Below(1000), 1000 + rng.Below(1000)};
-    a.snapshot.version = rng.Next();
-    a.snapshot.right = NodeId{rng.Next()};
-    a.snapshot.right_low = rng.Next();
-    a.snapshot.left = NodeId{rng.Next()};
-    a.snapshot.parent = NodeId{rng.Next()};
-    for (Version& v : a.snapshot.link_versions) v = rng.Below(1000);
+    NodeSnapshot& snap = a.mutable_snapshot();
+    snap.id = NodeId{rng.Next() | 1};
+    snap.level = static_cast<int32_t>(rng.Below(5));
+    snap.range = {rng.Below(1000), 1000 + rng.Below(1000)};
+    snap.version = rng.Next();
+    snap.right = NodeId{rng.Next()};
+    snap.right_low = rng.Next();
+    snap.left = NodeId{rng.Next()};
+    snap.parent = NodeId{rng.Next()};
+    for (Version& v : snap.link_versions) v = rng.Below(1000);
     size_t entries = rng.Below(20);
-    Key k = a.snapshot.range.low;
+    Key k = snap.range.low;
     for (size_t i = 0; i < entries; ++i) {
       k += 1 + rng.Below(50);
-      a.snapshot.entries.push_back({k, rng.Next()});
+      snap.entries.push_back({k, rng.Next()});
     }
     for (uint64_t i = rng.Below(5); i > 0; --i) {
-      a.snapshot.copies.push_back(static_cast<ProcessorId>(rng.Below(64)));
+      snap.copies.push_back(static_cast<ProcessorId>(rng.Below(64)));
     }
     if (rng.Chance(0.7)) {
-      a.snapshot.pc = static_cast<ProcessorId>(rng.Below(64));
+      snap.pc = static_cast<ProcessorId>(rng.Below(64));
     }
     for (uint64_t i = rng.Below(8); i > 0; --i) {
-      a.snapshot.applied_updates.push_back(rng.Next());
+      snap.applied_updates.push_back(rng.Next());
     }
   }
   return a;
@@ -259,6 +269,7 @@ Action RandomAction(Rng& rng) {
 // EncodedSize must equal the materialized size, for arbitrary messages.
 TEST(Wire, FuzzRoundTripReencodesByteIdentical) {
   Rng rng(2024);
+  int payload_free = 0;
   for (int iter = 0; iter < 1000; ++iter) {
     Message m;
     m.from = rng.Chance(0.9) ? static_cast<ProcessorId>(rng.Below(16))
@@ -278,12 +289,229 @@ TEST(Wire, FuzzRoundTripReencodesByteIdentical) {
     ASSERT_EQ(decoded->actions.size(), m.actions.size());
     for (size_t i = 0; i < m.actions.size(); ++i) {
       ExpectActionsEqual(decoded->actions[i], m.actions[i]);
+      // A payload-free action decodes without allocating a payload.
+      const Action& sent = m.actions[i];
+      const bool carries = !sent.members().empty() ||
+                           !sent.range_results().empty() ||
+                           sent.snapshot().valid();
+      EXPECT_EQ(decoded->actions[i].has_payload(), carries) << "iter " << iter;
+      payload_free += carries ? 0 : 1;
     }
 
     const std::vector<uint8_t> reencoded = wire::EncodeMessage(*decoded);
     ASSERT_EQ(reencoded, bytes) << "re-encode not byte-identical, iter "
                                 << iter;
   }
+  EXPECT_GT(payload_free, 100);
+}
+
+// Payload setters: the golden set touches the out-of-line fields only here.
+void SetMembers(Action& a, std::vector<ProcessorId> v) {
+  a.mutable_members() = std::move(v);
+}
+NodeSnapshot& MutableSnapshot(Action& a) { return a.mutable_snapshot(); }
+void SetRangeResults(Action& a, std::vector<Entry> v) {
+  a.mutable_range_results() = std::move(v);
+}
+
+// The golden message set. Field values derive from the loop index so no two
+// messages share bytes; payload fields are set only through the three
+// helpers above it.
+std::vector<Message> GoldenMessages() {
+  std::vector<Message> out;
+  const int kinds = static_cast<int>(ActionKind::kMaxKind);
+  // Every kind once, with every scalar field set and no payload.
+  for (int k = 1; k < kinds; ++k) {
+    Action a;
+    a.kind = static_cast<ActionKind>(k);
+    a.target = NodeId::Make(static_cast<ProcessorId>(k % 4),
+                            static_cast<uint32_t>(10 + k));
+    a.op = MakeOpId(static_cast<ProcessorId>(k % 3), static_cast<uint32_t>(k));
+    a.update = 1000 + static_cast<UpdateId>(k);
+    a.key = static_cast<Key>(k) * 1000003ull;
+    a.value = ~0ull - static_cast<Value>(k);
+    a.found = k % 2 == 1;
+    a.rc = static_cast<Action::Rc>(k % 4);
+    a.version = static_cast<Version>(k) * 7;
+    a.origin = k % 3 == 0 ? kInvalidProcessor : static_cast<ProcessorId>(k % 5);
+    a.level = k % 4 - 1;
+    a.hops = static_cast<uint32_t>(k * 3);
+    a.new_node = k % 2 == 0 ? kInvalidNode
+                            : NodeId::Make(static_cast<ProcessorId>(k % 4),
+                                           static_cast<uint32_t>(500 + k));
+    a.sep = static_cast<Key>(k) * 333;
+    a.link = static_cast<LinkKind>(k % 3);
+    out.push_back(Message(static_cast<ProcessorId>(k % 4),
+                          static_cast<ProcessorId>((k + 1) % 4), a));
+  }
+
+  // Each payload field alone, then all three, on the kinds that use them.
+  NodeSnapshot snap;
+  snap.id = NodeId::Make(2, 41);
+  snap.level = 1;
+  snap.range = {100, 90000};
+  snap.version = 12;
+  snap.right = NodeId::Make(3, 42);
+  snap.right_low = 90000;
+  snap.left = NodeId::Make(1, 40);
+  snap.parent = NodeId::Make(0, 1);
+  snap.link_versions[0] = 4;
+  snap.link_versions[1] = 0;
+  snap.link_versions[2] = 300;
+  snap.entries = {{100, 7}, {250, 1ull << 40}, {89999, 3}};
+  snap.copies = {0, 2, 3};
+  snap.pc = 2;
+  snap.applied_updates = {5, 77, 1ull << 33};
+
+  Action join;
+  join.kind = ActionKind::kRelayedJoin;
+  join.target = snap.id;
+  join.version = 13;
+  join.origin = 1;
+  SetMembers(join, {1});
+  out.push_back(Message(2, 0, join));
+
+  Action scan_return;
+  scan_return.kind = ActionKind::kReturnValue;
+  scan_return.op = MakeOpId(3, 9);
+  scan_return.key = 120;
+  scan_return.rc = Action::Rc::kOk;
+  scan_return.hops = 4;
+  SetRangeResults(scan_return, {{120, 1}, {121, 2}, {4000, 1ull << 50}});
+  out.push_back(Message(1, 3, scan_return));
+
+  Action create;
+  create.kind = ActionKind::kCreateNode;
+  create.target = snap.id;
+  create.level = snap.level;
+  MutableSnapshot(create) = snap;
+  out.push_back(Message(2, 3, create));
+
+  Action all = create;
+  all.kind = ActionKind::kMigrateNode;
+  all.update = 88;
+  SetMembers(all, {3, 0});
+  SetRangeResults(all, {{1, 1}});
+  out.push_back(Message(2, 1, all));
+
+  // A snapshot with empty vectors and no primary copy, and a snapshot
+  // that is set but invalid (it encodes as absent).
+  Action bare = create;
+  MutableSnapshot(bare).entries.clear();
+  MutableSnapshot(bare).copies.clear();
+  MutableSnapshot(bare).applied_updates.clear();
+  MutableSnapshot(bare).pc = kInvalidProcessor;
+  out.push_back(Message(0, 2, bare));
+  Action invalid;
+  invalid.kind = ActionKind::kJoinGrant;
+  MutableSnapshot(invalid).level = 3;
+  out.push_back(Message(1, 0, invalid));
+
+  // Multi-action messages: a relay batch, and payload-free actions mixed
+  // with payload-carrying ones.
+  Message batch;
+  batch.from = 1;
+  batch.to = 2;
+  for (int i = 0; i < 4; ++i) {
+    Action r;
+    r.kind = ActionKind::kRelayedInsert;
+    r.target = NodeId::Make(1, 7);
+    r.update = 200 + static_cast<UpdateId>(i);
+    r.key = 1000 * static_cast<Key>(i + 1);
+    r.value = static_cast<Value>(i);
+    r.origin = 1;
+    batch.actions.push_back(r);
+  }
+  out.push_back(batch);
+  Message mixed;
+  mixed.from = 3;
+  mixed.to = 0;
+  mixed.actions.push_back(out[0].actions[0]);
+  mixed.actions.push_back(join);
+  mixed.actions.push_back(all);
+  mixed.actions.push_back(out[5].actions[0]);
+  out.push_back(mixed);
+
+  // The reliable header: a data frame carrying an ack, a retransmitted
+  // frame, a pure ack, and a message with no actions and no header.
+  Message acked = batch;
+  acked.seq = 17;
+  acked.ack = 300;
+  acked.flags = Message::kHasAck;
+  out.push_back(acked);
+  Message resent(2, 1, scan_return);
+  resent.seq = 1ull << 35;
+  resent.flags = Message::kRetransmit;
+  out.push_back(resent);
+  Message pure_ack;
+  pure_ack.from = 0;
+  pure_ack.to = 3;
+  pure_ack.seq = 0;
+  pure_ack.ack = 129;
+  pure_ack.flags = Message::kHasAck | Message::kAckOnly;
+  out.push_back(pure_ack);
+  out.push_back(Message{});
+  return out;
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  std::string out;
+  char digits[3];
+  for (uint8_t b : bytes) {
+    std::snprintf(digits, sizeof(digits), "%02x", b);
+    out += digits;
+  }
+  return out;
+}
+
+// The wire format is pinned: tests/data/wire_golden.hex holds the golden
+// set's bytes as recorded before the payload moved out of line, so an
+// encoder change that moves one byte fails here. Each recorded message
+// must also encode the same into a recycled buffer, and decode and
+// re-encode to the same bytes.
+TEST(Wire, GoldenBytes) {
+  std::ifstream in(LAZYTREE_TEST_DATA_DIR "/wire_golden.hex");
+  ASSERT_TRUE(in) << "missing tests/data/wire_golden.hex";
+  std::vector<std::string> recorded;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') recorded.push_back(line);
+  }
+  const std::vector<Message> messages = GoldenMessages();
+  ASSERT_EQ(recorded.size(), messages.size());
+  std::vector<uint8_t> recycled;
+  for (size_t i = 0; i < messages.size(); ++i) {
+    const std::vector<uint8_t> bytes = wire::EncodeMessage(messages[i]);
+    EXPECT_EQ(Hex(bytes), recorded[i]) << "message " << i << ": "
+                                       << messages[i].ToString();
+    recycled = wire::EncodeMessage(messages[i], std::move(recycled));
+    EXPECT_EQ(recycled, bytes) << "message " << i;
+    auto decoded = wire::DecodeMessage(bytes);
+    ASSERT_TRUE(decoded.ok()) << "message " << i;
+    EXPECT_EQ(Hex(wire::EncodeMessage(*decoded)), recorded[i])
+        << "message " << i;
+  }
+}
+
+TEST(Wire, CopyingAnActionCopiesItsPayload) {
+  Action a = FullActionFixture();
+  Action b = a;
+  b.mutable_members().push_back(9);
+  b.mutable_snapshot().entries.clear();
+  EXPECT_EQ(a.members().size(), 3u);
+  EXPECT_EQ(a.snapshot().entries.size(), 3u);
+  Action c;
+  c = a;
+  ExpectActionsEqual(c, a);
+  Action moved = std::move(c);
+  EXPECT_TRUE(moved.has_payload());
+  ExpectActionsEqual(moved, a);
+  Action plain;
+  plain.kind = ActionKind::kSearch;
+  Action plain_copy = plain;
+  EXPECT_FALSE(plain_copy.has_payload());
+  EXPECT_TRUE(plain_copy.members().empty());
+  EXPECT_TRUE(plain_copy.take_range_results().empty());
+  EXPECT_FALSE(plain_copy.has_payload());
 }
 
 TEST(Wire, EncodedSizeMatches) {

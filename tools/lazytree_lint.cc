@@ -1,8 +1,10 @@
 // lazytree_lint: repo-specific static analysis for protocol rules the
 // compiler cannot enforce.
 //
-//   1. Wire coverage — every field of Message / Action / NodeSnapshot must
-//      be written by the encoder walk and read by the decoder. (Encode and
+//   1. Wire coverage — every field of Message / Action / ActionPayload /
+//      NodeSnapshot must be written by the encoder walk and read by the
+//      in-place decoder; Action's out-of-line payload must be handed to
+//      the payload's own encoder and decoder. (Encode and
 //      EncodedSize share one templated walk; the lint verifies that
 //      structural guarantee still holds, so a field covered by the encoder
 //      is covered by the size counter by construction.)
@@ -171,14 +173,24 @@ void CheckWireCoverage(const WireSources& src, Report& report) {
     std::string var;        // receiver variable in the wire walks
     std::string encode_fn;  // signature regex
     std::string decode_fn;
+    // A member holding an out-of-line struct (Action's payload box): it is
+    // covered when the walks hand it to that struct's own encoder and
+    // decoder, whose fields are checked by their own spec.
+    const char* out_of_line_field = nullptr;
+    const char* out_of_line_encoder = nullptr;
+    const char* out_of_line_decoder = nullptr;
   };
   const StructSpec specs[] = {
       {"NodeSnapshot", &src.action_h, "action.h", "s",
        R"(void\s+EncodeSnapshotTo\s*\()",
-       R"(StatusOr<NodeSnapshot>\s+DecodeSnapshot\s*\()"},
+       R"(void\s+DecodeSnapshotBody\s*\()"},
+      {"ActionPayload", &src.action_h, "action.h", "p",
+       R"(void\s+EncodePayloadTo\s*\()",
+       R"(void\s+DecodePayload\s*\()"},
       {"Action", &src.action_h, "action.h", "a",
        R"(void\s+EncodeActionTo\s*\()",
-       R"(StatusOr<Action>\s+DecodeAction\s*\()"},
+       R"(void\s+DecodeAction\s*\()", "payload_", "EncodePayloadTo",
+       "DecodePayload"},
       {"Message", &src.message_h, "message.h", "m",
        R"(void\s+EncodeMessageTo\s*\()",
        R"(StatusOr<Message>\s+DecodeMessage\s*\()"},
@@ -202,6 +214,28 @@ void CheckWireCoverage(const WireSources& src, Report& report) {
       continue;
     }
     for (const std::string& field : FieldNames(body)) {
+      if (spec.out_of_line_field != nullptr &&
+          field == spec.out_of_line_field) {
+        const std::regex encode_call(std::string("\\b") +
+                                     spec.out_of_line_encoder + "\\s*\\(");
+        const std::regex decode_call(std::string("\\b") +
+                                     spec.out_of_line_decoder + "\\s*\\(");
+        if (!std::regex_search(encode, encode_call)) {
+          report.Add("wire.cc", "wire-coverage",
+                     std::string(spec.struct_name) + "::" + field +
+                         " is never written by the encoder walk (call " +
+                         spec.out_of_line_encoder + " from Encode" +
+                         spec.struct_name + "To)");
+        }
+        if (!std::regex_search(decode, decode_call)) {
+          report.Add("wire.cc", "wire-coverage",
+                     std::string(spec.struct_name) + "::" + field +
+                         " is never read by the decoder (call " +
+                         spec.out_of_line_decoder + " from Decode" +
+                         spec.struct_name + ")");
+        }
+        continue;
+      }
       // `Message::actions` round-trips as `m.actions` in both directions;
       // every other field is referenced as <var>.<field>.
       const std::regex use("\\b" + spec.var + "\\.(" + field + ")\\b");
@@ -209,15 +243,15 @@ void CheckWireCoverage(const WireSources& src, Report& report) {
         report.Add("wire.cc", "wire-coverage",
                    std::string(spec.struct_name) + "::" + field +
                        " is never written by the encoder walk (add it to "
-                       "Encode" +
-                       spec.struct_name + "To; EncodedSize follows for "
-                       "free)");
+                       "the " +
+                       spec.struct_name + " encoder; EncodedSize follows "
+                       "for free)");
       }
       if (!std::regex_search(decode, use)) {
         report.Add("wire.cc", "wire-coverage",
                    std::string(spec.struct_name) + "::" + field +
-                       " is never read by the decoder (add it to Decode" +
-                       spec.struct_name + ")");
+                       " is never read by the decoder (add it to the " +
+                       spec.struct_name + " decoder)");
       }
     }
   }
@@ -649,9 +683,11 @@ int SelfTest(const fs::path& root) {
   const fs::path fixtures = root / "tools/lint_fixtures";
   auto fix_action_h = ReadFile(fixtures / "bad_action.h");
   auto fix_wire_cc = ReadFile(fixtures / "bad_wire.cc");
+  auto fix_payload_wire_cc = ReadFile(fixtures / "bad_payload_wire.cc");
   auto fix_base_cc = ReadFile(fixtures / "bad_base.cc");
   auto real_action_cc = ReadFile(root / "src/msg/action.cc");
-  if (!fix_action_h || !fix_wire_cc || !fix_base_cc || !real_action_cc) {
+  if (!fix_action_h || !fix_wire_cc || !fix_payload_wire_cc || !fix_base_cc ||
+      !real_action_cc) {
     std::fprintf(stderr, "self-test: cannot read lint_fixtures under %s\n",
                  fixtures.string().c_str());
     return 2;
@@ -684,6 +720,20 @@ int SelfTest(const fs::path& root) {
     expect("wire-coverage catches field missing from decoder", parent);
     expect("wire-coverage reports nothing else",
            r.findings().size() == 2);
+  }
+
+  {
+    // bad_payload_wire.cc's in-place decoder never reads one field of the
+    // out-of-line payload; that field alone must be reported.
+    Report r;
+    CheckWireCoverage({*fix_action_h, *fix_action_h, *fix_payload_wire_cc}, r);
+    const bool unread =
+        r.findings().size() == 1 &&
+        r.findings()[0].message.find("ActionPayload::range_results") !=
+            std::string::npos &&
+        r.findings()[0].message.find("decoder") != std::string::npos;
+    expect("wire-coverage catches unread out-of-line payload field", unread);
+    if (!unread) r.Print();
   }
 
   {

@@ -1,6 +1,7 @@
 // Fixture for lazytree_lint --self-test: a miniature action.h/message.h
-// whose wire walk (bad_wire.cc) and dispatch (bad_base.cc) contain
-// deliberate violations. Never compiled into the project.
+// whose wire walks (bad_wire.cc, bad_payload_wire.cc) and dispatch
+// (bad_base.cc) contain deliberate violations. Never compiled into the
+// project.
 
 #include <cstdint>
 #include <vector>
@@ -19,11 +20,22 @@ struct NodeSnapshot {
   uint64_t parent = 0;  // bad_wire.cc's decoder forgets this field
 };
 
+struct ActionPayload {
+  std::vector<uint32_t> members;
+  NodeSnapshot snapshot;
+  std::vector<uint64_t> range_results;  // bad_payload_wire.cc never reads it
+};
+
 struct Action {
   ActionKind kind = ActionKind::kInvalid;
   uint64_t target = 0;
   uint32_t hops = 0;  // bad_wire.cc's encoder forgets this field
-  NodeSnapshot snapshot;
+
+  const ActionPayload& payload() const;
+  ActionPayload& mutable_payload();
+
+ private:
+  PayloadBox payload_;
 };
 
 struct Message {
