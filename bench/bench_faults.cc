@@ -1,20 +1,22 @@
 // bench_faults — the loss sweep for the reliable-delivery layer
 // (EXPERIMENTS.md "Loss sweep"; PR9 robustness work).
 //
-// The paper assumes a reliable, exactly-once, FIFO network (§4); the
-// net/reliable.h layer manufactures that assumption on top of a lossy
-// link. This bench prices the manufacturing: a mixed insert/search
-// workload runs against clusters whose links drop 0% / 0.1% / 1% / 5% of
-// messages (via net/faults.h), on both the simulated and the real-thread
-// transport, and reports goodput plus the reliability counters
+// The paper assumes a reliable, exactly-once, FIFO network (§4); each
+// processor's reliable links (server/links.h) manufacture that assumption on
+// top of a lossy link. This bench prices the manufacturing: a mixed
+// insert/search workload runs against clusters whose links drop 0% / 0.1% / 1%
+// / 5% of messages (via net/faults.h), on both the simulated and the
+// real-thread transport, and reports goodput plus the reliability counters
 // (retransmits, duplicates deduped, piggybacked acks, links declared
-// down). A raw row — no reliable layer, no faults — anchors the overhead
-// of the layer itself at 0% loss.
+// down). A raw row — no reliable layer, no faults — anchors the
+// overhead of the layer itself at 0% loss.
 //
 // Every operation must still complete at every loss rate: loss degrades
-// throughput, never correctness. The bench CHECK-fails otherwise, which
-// is what the CI smoke run (`--smoke`, one 1%-drop scenario) exists to
-// catch.
+// throughput, never correctness. And with nothing lost, nothing may be
+// resent: on threads at 0% loss at most 1% of remote frames may be
+// retransmissions (a spurious RTO). The bench CHECK-fails otherwise, which
+// is what the CI smoke run (`--smoke`: the 1%-drop scenario on both
+// transports and the 0%-loss reliable row on threads) exists to catch.
 //
 // `--json PATH` writes the machine-readable sweep (BENCH_PR9.json via
 // the `lazytree_bench` target).
@@ -48,6 +50,7 @@ struct SweepResult {
   uint64_t duplicates_dropped = 0;
   uint64_t acks_piggybacked = 0;
   uint64_t link_down = 0;
+  uint64_t remote_messages = 0;
 };
 
 SweepResult RunPoint(const SweepPoint& point, size_t ops, bool smoke) {
@@ -70,7 +73,7 @@ SweepResult RunPoint(const SweepPoint& point, size_t ops, bool smoke) {
   o.reliable = point.reliable ? 1 : 0;
   // Generous budget: at 5% loss a frame's k-th retransmit is still lost
   // with probability 0.05^k, so links must survive the whole run.
-  o.reliability.max_retransmits = 20;
+  o.reliability.link_down_after_us = 10'000'000;
 
   Cluster cluster(o);
   cluster.Start();
@@ -101,6 +104,7 @@ SweepResult RunPoint(const SweepPoint& point, size_t ops, bool smoke) {
   r.duplicates_dropped = net.duplicates_dropped;
   r.acks_piggybacked = net.acks_piggybacked;
   r.link_down = net.link_down;
+  r.remote_messages = net.remote_messages;
 
   // Loss must degrade throughput, never correctness: every client op
   // completed and no link exhausted its budget.
@@ -110,6 +114,14 @@ SweepResult RunPoint(const SweepPoint& point, size_t ops, bool smoke) {
   LAZYTREE_CHECK(r.link_down == 0)
       << point.transport << " drop=" << point.drop
       << ": a link died mid-sweep";
+  if (point.reliable && point.drop == 0 &&
+      o.transport == TransportKind::kThreads) {
+    // Nothing was lost, so a retransmission is an RTO that fired before
+    // the ack could arrive: the measured RTO must keep those rare.
+    LAZYTREE_CHECK(r.retransmits * 100 <= r.remote_messages)
+        << "threads at 0% loss retransmitted " << r.retransmits << " of "
+        << r.remote_messages << " remote frames (more than 1%)";
+  }
   if (point.drop > 0) {
     LAZYTREE_CHECK(r.dropped > 0)
         << "fault plan injected no loss at drop=" << point.drop;
@@ -169,8 +181,11 @@ int Main(int argc, char** argv) {
 
   std::vector<SweepPoint> points;
   if (smoke) {
-    // The CI-sized run: the one 1%-drop scenario on both transports.
-    points = {{"sim", 0.01, true}, {"threads", 0.01, true}};
+    // The CI-sized run: the 1%-drop scenario on both transports, and
+    // threads at 0% loss, where nothing may be resent.
+    points = {{"sim", 0.01, true},
+              {"threads", 0.01, true},
+              {"threads", 0.0, true}};
   } else {
     for (const char* transport : {"sim", "threads"}) {
       points.push_back({transport, 0.0, false});  // raw anchor

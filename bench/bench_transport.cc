@@ -191,7 +191,7 @@ struct ProtocolResult {
   double ops_per_sec = 0;
   double remote_msgs_per_op = 0;
   /// Link loss injected for this row (0 = pristine network, no reliable
-  /// layer) and the reliability counters it produced (net/reliable.h).
+  /// layer) and the reliability counters it produced (server/links.h).
   double drop = 0;
   uint64_t retransmits = 0;
   uint64_t duplicates_dropped = 0;
@@ -210,7 +210,7 @@ ProtocolResult RunProtocolBench(ProtocolKind protocol, uint32_t processors,
   if (drop > 0) {
     o.faults.drop = drop;
     o.faults.seed = 29;
-    o.reliability.max_retransmits = 20;
+    o.reliability.link_down_after_us = 10'000'000;
   }
   Cluster cluster(o);
   cluster.Start();

@@ -53,7 +53,12 @@ std::unique_ptr<ProtocolHandler> MakeHandler(ProtocolKind kind,
 }  // namespace
 
 Cluster::Cluster(ClusterOptions options)
-    : options_(std::move(options)), history_(options_.tree.track_history) {
+    : options_(std::move(options)),
+      history_(options_.tree.track_history),
+      link_clock_(/*real=*/options_.transport == TransportKind::kThreads),
+      on_link_down_([this](ProcessorId from, ProcessorId to) {
+        OnLinkDown(from, to);
+      }) {
   LAZYTREE_CHECK(options_.processors >= 1) << "need at least one processor";
   const bool threads = options_.transport == TransportKind::kThreads;
   // combine_ops auto (-1) turns op combining on only for the threads
@@ -72,7 +77,9 @@ Cluster::Cluster(ClusterOptions options)
     net::ThreadNetwork::Options topt;
     topt.pin_threads = options_.pin_threads;
     if (options_.max_batch > 0) topt.max_batch = options_.max_batch;
-    base_network_ = std::make_unique<net::ThreadNetwork>(topt);
+    auto threads_network = std::make_unique<net::ThreadNetwork>(topt);
+    threads_ = threads_network.get();
+    base_network_ = std::move(threads_network);
   }
   network_ = base_network_.get();
   if (options_.faults.active()) {
@@ -82,21 +89,17 @@ Cluster::Cluster(ClusterOptions options)
   const bool reliable_on = options_.reliable < 0
                                ? options_.faults.active()
                                : options_.reliable > 0;
-  if (reliable_on) {
-    net::ReliabilityOptions ropt = options_.reliability;
-    ropt.real_timers = threads;
-    reliable_ = std::make_unique<net::ReliableNetwork>(network_, ropt);
-    reliable_->SetLinkDownCallback(
-        [this](ProcessorId from, ProcessorId to) { OnLinkDown(from, to); });
-    network_ = reliable_.get();
-  }
   processors_.reserve(options_.processors);
   for (ProcessorId id = 0; id < options_.processors; ++id) {
     processors_.push_back(std::make_unique<Processor>(
         id, options_.processors, network_, &history_, options_.tree,
         options_.piggyback_window));
-    processors_.back()->SetHandler(
-        MakeHandler(options_.protocol, *processors_.back()));
+    Processor& p = *processors_.back();
+    p.SetHandler(MakeHandler(options_.protocol, p));
+    if (reliable_on) {
+      p.EnableLinks(options_.reliability, &link_clock_, on_link_down_);
+      links_.push_back(p.links());
+    }
   }
 }
 
@@ -208,8 +211,9 @@ void Cluster::MigrateNode(NodeId node, ProcessorId host_hint,
     // Sent as if by `dest`: relays it holds for `host_hint` ride ahead.
     processors_[dest]->out().SendAction(host_hint, std::move(cmd));
   } else {
-    // A client thread must not touch a worker's outbound buffer.
-    network_->Send(Message(dest, host_hint, std::move(cmd)));
+    // A client thread must not touch a worker's outbound buffer or links:
+    // `dest`'s own worker sends it, stamped and logged like any send.
+    threads_->Post(dest, Message(dest, host_hint, std::move(cmd)));
   }
 }
 
@@ -316,7 +320,14 @@ bool Cluster::Settle(std::chrono::milliseconds timeout) {
     if (sim_ != nullptr) {
       for (auto& p : processors_) p->out().FlushHeld();
     }
-    if (!network_->WaitQuiescent(timeout)) return false;
+    // On threads an armed link timer counts as in-flight work; the sim
+    // fires link timers on its virtual clock whenever it runs dry.
+    const bool drained =
+        sim_ != nullptr && !links_.empty()
+            ? DrainLinks(*network_, links_, link_clock_, on_link_down_,
+                         timeout)
+            : network_->WaitQuiescent(timeout);
+    if (!drained) return false;
     if (sim_ == nullptr || HeldRelays() == 0) {
       MaybeCheckHistories();
       return true;
@@ -327,12 +338,20 @@ bool Cluster::Settle(std::chrono::milliseconds timeout) {
 
 bool Cluster::PumpNetworkTimers() {
   if (faulty_ != nullptr && faulty_->FlushHeld() > 0) return true;
-  return reliable_ != nullptr && reliable_->Pump();
+  return sim_ != nullptr && !links_.empty() &&
+         PumpLinks(links_, link_clock_, on_link_down_);
+}
+
+bool Cluster::AnyLinkDown() const {
+  for (const Links* l : links_) {
+    if (l->AnyDown()) return true;
+  }
+  return false;
 }
 
 void Cluster::OnLinkDown(ProcessorId from, ProcessorId to) {
   LAZYTREE_WARN << "link p" << from << "->p" << to
-                << " declared down (retransmit budget exhausted); "
+                << " declared down (no ack progress within budget); "
                 << "failing pending ops";
   // Lost messages may strand an op homed on *any* processor (relays and
   // returns route through third parties), so degrade the whole cluster's
@@ -348,7 +367,7 @@ void Cluster::MaybeCheckHistories() {
       !started_) {
     return;
   }
-  if (reliable_ != nullptr && reliable_->AnyLinkDown()) {
+  if (AnyLinkDown()) {
     // A dead link means updates were genuinely lost in transit; §3.1
     // completeness cannot hold and the violation is expected, not a bug.
     return;

@@ -15,7 +15,6 @@
 #include "src/core/options.h"
 #include "src/history/checker.h"
 #include "src/net/faults.h"
-#include "src/net/reliable.h"
 #include "src/net/sim_network.h"
 #include "src/net/thread_network.h"
 
@@ -39,14 +38,19 @@ class Cluster {
   uint32_t size() const { return options_.processors; }
   Processor& processor(ProcessorId id) { return *processors_[id]; }
 
-  /// Outermost network (the reliable or fault decorator when enabled).
+  /// Outermost network (the fault decorator when a plan is installed).
   net::Network& network() { return *network_; }
   /// Non-null when the transport is the deterministic simulator.
   net::SimNetwork* sim() { return sim_; }
   /// Non-null when a fault plan is installed (net/faults.h).
   net::FaultyNetwork* faulty() { return faulty_.get(); }
-  /// Non-null when the reliable-delivery layer is on (net/reliable.h).
-  net::ReliableNetwork* reliable() { return reliable_.get(); }
+  /// True when reliable delivery is on: every processor owns links
+  /// (server/links.h).
+  bool reliable() const { return !links_.empty(); }
+  /// True if any processor declared a link down. Sim or quiescence.
+  bool AnyLinkDown() const;
+  /// The clock every link timer runs on (virtual on the sim).
+  const LinkClock& link_clock() const { return link_clock_; }
   history::HistoryLog& history_log() { return history_; }
 
   // --- synchronous client operations (home = submitting processor) ---
@@ -77,9 +81,9 @@ class Cluster {
   bool Settle(std::chrono::milliseconds timeout =
                   std::chrono::milliseconds(30000));
 
-  /// Sim transport only: releases fault-held messages and fires the
-  /// reliable layer's earliest due virtual timer. Returns true if new
-  /// network work appeared — the explorer's drive loop calls this when
+  /// Sim transport only: releases fault-held messages, or else fires the
+  /// links' earliest due virtual timers. Returns true if new network
+  /// work appeared — the explorer's drive loop calls this when
   /// SimNetwork::Step runs dry, which is exactly how retransmissions and
   /// delayed acks become schedulable, replayable events.
   bool PumpNetworkTimers();
@@ -131,7 +135,7 @@ class Cluster {
   /// options_.check_histories is set, dying on the first violation.
   void MaybeCheckHistories();
 
-  /// Reliable-layer callback: a channel exhausted its retransmit budget.
+  /// Link callback: a link exhausted its time budget without progress.
   /// Messages were genuinely lost, so any outstanding op anywhere in the
   /// cluster may be waiting on one of them — fail them all with a
   /// retriable kUnavailable status rather than hanging.
@@ -139,15 +143,19 @@ class Cluster {
 
   ClusterOptions options_;
   history::HistoryLog history_;
-  /// Decorator stack, innermost first (declaration order matters: outer
-  /// layers are destroyed before the layers they wrap):
-  ///   base -> faulty -> reliable.
+  /// Transport stack, innermost first (declaration order matters: the
+  /// decorator is destroyed before the transport it wraps):
+  ///   base -> faulty.
   std::unique_ptr<net::Network> base_network_;
   std::unique_ptr<net::FaultyNetwork> faulty_;
-  std::unique_ptr<net::ReliableNetwork> reliable_;
   net::Network* network_ = nullptr;  // outermost
   net::SimNetwork* sim_ = nullptr;
+  net::ThreadNetwork* threads_ = nullptr;
+  LinkClock link_clock_;
+  LinkDownFn on_link_down_;
   std::vector<std::unique_ptr<Processor>> processors_;
+  /// Every processor's links, by id; empty when reliable delivery is off.
+  std::vector<Links*> links_;
   bool started_ = false;
   /// History size at the last quiescence check (skip re-verifying an
   /// unchanged log when Settle() is called back-to-back).

@@ -7,7 +7,7 @@
 
 #include "src/history/checker.h"
 #include "src/net/faults.h"
-#include "src/net/reliable.h"
+#include "src/server/links.h"
 #include "src/server/processor.h"
 
 namespace lazytree {
@@ -83,16 +83,19 @@ struct ClusterOptions {
   /// FaultyNetwork decorator drops/duplicates/reorders/delays remote
   /// messages under the plan's own seed, on either transport.
   net::FaultPlan faults;
-  /// Reliable-delivery layer (net/reliable.h): -1 auto-resolves to ON
-  /// when the fault plan is active and OFF otherwise; 0/1 force it. With
-  /// it on, exactly-once FIFO delivery — and therefore §3.1 — holds even
-  /// over lossy links; channels that exhaust their retransmit budget are
-  /// declared down and their processors' pending ops fail with a
-  /// retriable kUnavailable status instead of hanging Settle().
+  /// Reliable delivery (server/links.h): -1 auto-resolves to ON when the
+  /// fault plan is active and OFF otherwise; 0/1 force it. With it on,
+  /// every processor runs go-back-N links in the header of its own
+  /// messages, so exactly-once FIFO delivery — and therefore §3.1 — holds
+  /// even over lossy links; a link without ack progress for
+  /// `reliability.link_down_after_us` is declared down and pending ops
+  /// fail with a retriable kUnavailable status instead of hanging
+  /// Settle().
   int8_t reliable = -1;
-  /// Tuning for the reliable layer (timers, budgets, initial sequence
-  /// number). `real_timers` is overridden from the transport kind.
-  net::ReliabilityOptions reliability;
+  /// Link tuning (RTO floor, ack delay, link-down budget, initial
+  /// sequence number). Timers run on the sim's virtual clock or, on
+  /// threads, the steady clock.
+  ReliabilityOptions reliability;
   /// Node capacity, history tracking, replication factor, upserts.
   TreeConfig tree;
 };

@@ -19,14 +19,14 @@ namespace lazytree {
 /// message for the same destination, which is why `actions` is a vector —
 /// exactly the optimization §1.1 describes.
 struct Message {
-  /// Reliable-delivery flag bits (net/reliable.h).
+  /// Reliable-delivery flag bits (server/links.h).
   static constexpr uint8_t kHasAck = 1 << 0;      ///< `ack` field is valid
   static constexpr uint8_t kAckOnly = 1 << 1;     ///< pure ack, no payload
   static constexpr uint8_t kRetransmit = 1 << 2;  ///< resent copy
 
   ProcessorId from = kInvalidProcessor;
   ProcessorId to = kInvalidProcessor;
-  uint64_t seq = 0;  ///< per-(from,to) channel sequence, assigned by net
+  uint64_t seq = 0;  ///< per-(from,to) link sequence, stamped by the sender
   uint64_t ack = 0;  ///< cumulative ack for the reverse channel (kHasAck)
   uint8_t flags = 0;  ///< Message::kHasAck | kAckOnly | kRetransmit
   std::vector<Action> actions;

@@ -38,7 +38,12 @@ void FaultyNetwork::Register(ProcessorId id, Receiver* receiver) {
 
 ProcessorId FaultyNetwork::size() const { return base_->size(); }
 
-void FaultyNetwork::Start() { base_->Start(); }
+void FaultyNetwork::Start() {
+  // Links exist before any worker can send, so FlushHeld (client thread)
+  // never reads the table while a worker's first Send builds it.
+  EnsureLinks();
+  base_->Start();
+}
 
 void FaultyNetwork::Stop() {
   // Held messages are dead at Stop — like messages on the wire when the

@@ -4,8 +4,9 @@
 // drop / duplicate / reorder / delay probabilities plus explicit partition
 // windows, all driven by a FaultPlan installed through ClusterOptions. The
 // paper assumes reliable exactly-once FIFO channels (§4); this decorator
-// deliberately breaks that assumption so the reliable-delivery layer
-// (net/reliable.h) can be shown to restore it.
+// deliberately breaks that assumption so the processors' reliable links
+// (server/links.h), which stamp messages above this layer, can be shown to
+// restore it.
 //
 // Determinism: every fault decision is a pure function of
 // (plan.seed, from, to, per-link send index) — no global RNG, no clock.
@@ -79,8 +80,8 @@ class FaultyNetwork : public Network {
   /// finite, not infinite, delay.
   size_t FlushHeld();
 
-  // Injection counters (what the fault layer actually did — the reliable
-  // layer's recovery counters live in NetworkStats).
+  // Injection counters (what the fault layer actually did — the links'
+  // recovery counters live in NetworkStats).
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
   uint64_t duplicated() const {
     return duplicated_.load(std::memory_order_relaxed);

@@ -70,7 +70,11 @@ void SimNetwork::Restart(ProcessorId p) {
   if (observer_ != nullptr) observer_->OnRestart(p);
 }
 
-void SimNetwork::Send(Message m) {
+void SimNetwork::Send(Message m) { Enqueue(m); }
+
+void SimNetwork::SendCopy(const Message& m) { Enqueue(m); }
+
+void SimNetwork::Enqueue(const Message& m) {
   LAZYTREE_CHECK(m.to < receivers_.size() && receivers_[m.to] != nullptr)
       << "send to unregistered p" << m.to;
   std::vector<uint8_t> spare;
@@ -148,8 +152,8 @@ bool SimNetwork::Step() {
   DeliveryOutcome outcome = DeliveryOutcome::kDeliver;
   std::optional<DeliveryOutcome> forced;
   if (strategy_ != nullptr) forced = strategy_->ForceOutcome();
-  // Self-sends model in-process work, not network traffic, and they bypass
-  // any reliable layer stacked above — never fault them (faults.cc holds
+  // Self-sends model in-process work, not network traffic, and reliable
+  // links never stamp them — never fault them (faults.cc holds
   // the same line for the real fault injector).
   const bool faultable = pick.first != pick.second;
   if (IsCrashed(pick.second)) {

@@ -42,6 +42,8 @@ class SimNetwork : public Network {
   void Register(ProcessorId id, Receiver* receiver) override;
   ProcessorId size() const override;
   void Send(Message m) override;
+  /// Encodes straight from `m`: no copy.
+  void SendCopy(const Message& m) override;
   void Start() override {}
   void Stop() override {}
 
@@ -122,6 +124,8 @@ class SimNetwork : public Network {
   bool MaybeDropRelay(Message& m);
   /// Hands a delivered message's bytes to the free list Send draws from.
   void RecycleBytes(std::vector<uint8_t> bytes);
+  /// Encodes `m` and queues it (Send and SendCopy).
+  void Enqueue(const Message& m);
 
   // Encoded-byte buffers whose message was decoded (or dropped), reused
   // by the next Send so a steady-state delivery encodes without

@@ -21,7 +21,7 @@ struct StatsSnapshot {
   uint64_t piggybacked_actions = 0;  ///< actions that rode along for free
   uint64_t combined_actions = 0;     ///< actions merged by the op combiner
   uint64_t fastpath_reads = 0;  ///< local hops short-circuited by inline descent
-  uint64_t retransmits = 0;         ///< messages resent by the reliable layer
+  uint64_t retransmits = 0;         ///< messages resent by reliable links
   uint64_t duplicates_dropped = 0;  ///< stale/duplicate frames deduped away
   uint64_t acks_piggybacked = 0;    ///< cumulative acks that rode data frames
   uint64_t link_down = 0;  ///< channels declared dead (retransmit budget spent)
@@ -46,8 +46,8 @@ class NetworkStats {
   /// A navigation hop (or whole descent) was resolved against local
   /// replicas without a queue-manager round trip.
   void OnFastpathRead(size_t hops);
-  /// Reliable-delivery accounting (net/reliable.h): the layer is a
-  /// decorator, so it writes into the base transport's stats sink.
+  /// Reliable-delivery accounting (server/links.h): each processor's
+  /// links write into the base transport's stats sink.
   void OnRetransmit(size_t messages);
   void OnDuplicateDropped();
   void OnAckPiggybacked();

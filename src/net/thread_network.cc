@@ -35,6 +35,16 @@ void ThreadNetwork::Send(Message m) {
   // self-sends are never counted as network bytes.
   stats_.OnSend(
       m, byte_stats_ && m.from != m.to ? wire::EncodedSize(m) : 0);
+  Enqueue(station, std::move(m));
+}
+
+void ThreadNetwork::Post(ProcessorId p, Message m) {
+  LAZYTREE_CHECK(p < stations_.size() && stations_[p] != nullptr)
+      << "post to unregistered p" << p;
+  Enqueue(*stations_[p], std::move(m));
+}
+
+void ThreadNetwork::Enqueue(Station& station, Message m) {
   inflight_.fetch_add(1, std::memory_order_relaxed);
   if (!station.inbox.Push(std::move(m))) {
     // Inbox closed during shutdown: account the message as handled.
@@ -63,14 +73,48 @@ void ThreadNetwork::WorkerLoop(Station* station) {
   if (pin_threads_ && AvailableCpus() > 1) {
     PinCurrentThreadToCpu(static_cast<unsigned>(station->id));
   }
+  Receiver* receiver = station->receiver;
   std::vector<Message> batch;  // recycled across PopAll swaps
-  while (station->inbox.PopAll(batch, max_batch_)) {
-    station->receiver->DeliverBatch(batch);
-    // Whatever the receiver still holds goes out before the batch
-    // retires, so in-flight cannot reach zero with work held back.
-    if (station->inbox.Drained()) station->receiver->OnInboxDrained();
-    OnHandled(static_cast<int64_t>(batch.size()));
+  bool armed = false;          // a timer's unit of in-flight work is held
+  while (true) {
+    uint64_t deadline = receiver->TimerDeadline();
+    if (!station->inbox.PopAll(
+            batch, max_batch_,
+            deadline == kNoTimer
+                ? std::chrono::steady_clock::time_point::max()
+                : std::chrono::steady_clock::time_point(
+                      std::chrono::microseconds(deadline)))) {
+      break;
+    }
+    if (!batch.empty()) {
+      receiver->DeliverBatch(batch);
+      // Whatever the receiver still holds goes out before the batch
+      // retires, so in-flight cannot reach zero with work held back.
+      if (station->inbox.Drained()) receiver->OnInboxDrained();
+    }
+    deadline = receiver->TimerDeadline();
+    // Timers fire only with the inbox drained: an ack already queued is
+    // read before a retransmission timer can fire past it.
+    if (deadline != kNoTimer && station->inbox.Drained()) {
+      const uint64_t now = SteadyNowUs();
+      if (now >= deadline) {
+        receiver->OnTimer(now);
+        deadline = receiver->TimerDeadline();
+      }
+    }
+    // Take the timer's unit before retiring the batch, and give it back
+    // with the batch, so in-flight never reads zero while one is armed.
+    int64_t handled = static_cast<int64_t>(batch.size());
+    if (deadline != kNoTimer && !armed) {
+      inflight_.fetch_add(1, std::memory_order_relaxed);
+      armed = true;
+    } else if (deadline == kNoTimer && armed) {
+      ++handled;
+      armed = false;
+    }
+    if (handled > 0) OnHandled(handled);
   }
+  if (armed) OnHandled(1);
 }
 
 void ThreadNetwork::OnHandled(int64_t n) {

@@ -6,6 +6,12 @@
 // processors. FIFO per (from, to) pair holds because a sender enqueues in
 // program order and the inbox is a single FIFO queue.
 //
+// A receiver's armed timer (Receiver::TimerDeadline) bounds its worker's
+// park, and the worker calls OnTimer itself once the deadline passes, so
+// timers need no thread of their own. An armed timer counts as one unit
+// of in-flight work, so WaitQuiescent also waits for every timer to be
+// disarmed.
+//
 // Send *moves* the Message straight into the destination's batched MPSC
 // inbox, with no wire encode/decode. Opt-in NetworkStats byte counts come
 // from wire::EncodedSize, the exact size the codec would write; the codec
@@ -51,6 +57,10 @@ class ThreadNetwork : public Network {
   void Register(ProcessorId id, Receiver* receiver) override;
   ProcessorId size() const override;
   void Send(Message m) override;
+  /// Hands `m` to processor `p`'s worker, whatever `m.to` says: a client
+  /// thread uses it to have a processor send a message from its own
+  /// delivery thread. Not a network hop, so not counted in the stats.
+  void Post(ProcessorId p, Message m);
   void Start() override;
   void Stop() override;
   bool WaitQuiescent(std::chrono::milliseconds timeout) override;
@@ -65,6 +75,7 @@ class ThreadNetwork : public Network {
   };
 
   void WorkerLoop(Station* station);
+  void Enqueue(Station& station, Message m);
   // Retires `n` handled (or dropped-at-shutdown) messages; notifies
   // quiescence waiters on the zero transition.
   void OnHandled(int64_t n);
@@ -76,7 +87,8 @@ class ThreadNetwork : public Network {
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
 
-  // Quiescence: messages enqueued but not yet fully handled. Relaxed
+  // Quiescence: messages enqueued but not yet fully handled, plus one
+  // per armed receiver timer. Relaxed
   // increments/decrements on the hot path; the mutex + condition variable
   // are touched only on the zero transition and by waiters.
   std::atomic<int64_t> inflight_{0};

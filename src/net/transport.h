@@ -19,12 +19,24 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/msg/message.h"
 #include "src/net/stats.h"
 
 namespace lazytree::net {
+
+/// No timer armed (Receiver::TimerDeadline).
+inline constexpr uint64_t kNoTimer = std::numeric_limits<uint64_t>::max();
+
+/// The thread transport's timer clock: steady-clock microseconds.
+inline uint64_t SteadyNowUs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Message sink implemented by each processor.
 class Receiver {
@@ -51,6 +63,14 @@ class Receiver {
   /// outbound work (the queue manager's held relays) sends it here, so a
   /// quiescent network has nothing held. The sim never calls it.
   virtual void OnInboxDrained() {}
+
+  /// Earliest timer the receiver has armed, in SteadyNowUs() time, or
+  /// kNoTimer. The thread transport's worker parks no longer than this
+  /// and calls OnTimer once it has passed; while one is armed the
+  /// network is not quiescent. The sim never calls either: its owner
+  /// fires timers on a virtual clock.
+  virtual uint64_t TimerDeadline() const { return kNoTimer; }
+  virtual void OnTimer(uint64_t now_us) { (void)now_us; }
 };
 
 /// Reliable exactly-once FIFO transport between registered processors.
@@ -68,6 +88,11 @@ class Network {
   /// Enqueues a message. `m.from`/`m.to` must be registered. Never blocks.
   virtual void Send(Message m) = 0;
 
+  /// Enqueues a copy of `m`, which the caller keeps (a reliable link's
+  /// log). A transport that only reads the message — the sim encodes it —
+  /// overrides this to skip the copy.
+  virtual void SendCopy(const Message& m) { Send(m); }
+
   /// Starts delivery (ThreadNetwork spawns workers; SimNetwork is a no-op).
   virtual void Start() = 0;
 
@@ -79,10 +104,9 @@ class Network {
   /// the execution loop.
   virtual bool WaitQuiescent(std::chrono::milliseconds timeout) = 0;
 
-  /// Counter sink. Decorators (faults, reliable) override this
-  /// to return the base transport's sink, so a whole decorator stack
-  /// reports through one set of counters no matter which layer a caller
-  /// holds.
+  /// Counter sink. The fault decorator overrides this to return the
+  /// base transport's sink, so a decorated stack reports through one set
+  /// of counters no matter which layer a caller holds.
   virtual NetworkStats& stats() { return stats_; }
 
  protected:

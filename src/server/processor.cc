@@ -22,14 +22,50 @@ void Processor::SetHandler(std::unique_ptr<ProtocolHandler> handler) {
   handler_ = std::move(handler);
 }
 
+void Processor::EnableLinks(const ReliabilityOptions& options,
+                            const LinkClock* clock, LinkDownFn on_down) {
+  links_ = std::make_unique<Links>(id_, cluster_size_, network_, options,
+                                   clock);
+  on_link_down_ = std::move(on_down);
+  out_.SetLinks(links_.get());
+}
+
 void Processor::Deliver(Message m) {
   if (crashed_) return;  // defensive; the sim network drops these already
+  if (m.to != id_) {
+    for (Action& action : m.actions) out_.SendAction(m.to, std::move(action));
+    return;
+  }
+  if (links_ != nullptr && m.from != id_) {
+    if (!links_->Accept(m)) return;
+    std::vector<Message>& released = links_->released();
+    if (!released.empty()) {
+      // Frames the reorder buffer released ride in one scope with `m`,
+      // as one delivered batch.
+      if (config_.combine_ops) out_.BeginCombine();
+      HandleMessage(m);
+      for (Message& next : released) HandleMessage(next);
+      if (config_.combine_ops) out_.EndCombine();
+      return;
+    }
+  }
+  HandleMessage(m);
+}
+
+void Processor::HandleMessage(Message& m) {
   // Scope per message: a coalesced message's actions emit their outputs
   // as one message per destination. Nested inside a DeliverBatch scope
   // this is a no-op (only the outermost EndCombine flushes).
   if (config_.combine_ops) out_.BeginCombine();
   for (Action& action : m.actions) HandleAction(std::move(action));
   if (config_.combine_ops) out_.EndCombine();
+}
+
+void Processor::OnTimer(uint64_t now_us) {
+  if (links_ == nullptr) return;
+  downs_.clear();
+  links_->FireDue(now_us, &downs_);
+  for (ProcessorId peer : downs_) on_link_down_(id_, peer);
 }
 
 void Processor::DeliverBatch(std::vector<Message>& batch) {

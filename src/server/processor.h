@@ -1,9 +1,10 @@
 // Processor: one simulated server (§1.1).
 //
 // Owns the node store, the queue manager, the AAS registry, the operation
-// tracker, and a ProtocolHandler. The network calls Deliver serially, so
-// every action executes atomically with respect to the local store — the
-// paper's queue-manager / node-manager execution model.
+// tracker, a ProtocolHandler and, when reliable delivery is on, its ends
+// of the reliable links (server/links.h). The network calls Deliver
+// serially, so every action executes atomically with respect to the local
+// store — the paper's queue-manager / node-manager execution model.
 
 #ifndef LAZYTREE_SERVER_PROCESSOR_H_
 #define LAZYTREE_SERVER_PROCESSOR_H_
@@ -15,6 +16,7 @@
 #include "src/net/transport.h"
 #include "src/node/node_store.h"
 #include "src/server/aas.h"
+#include "src/server/links.h"
 #include "src/server/op_tracker.h"
 #include "src/server/protocol_handler.h"
 #include "src/server/queue_manager.h"
@@ -71,7 +73,18 @@ class Processor : public net::Receiver {
   /// Installs the protocol strategy. Must happen before the network starts.
   void SetHandler(std::unique_ptr<ProtocolHandler> handler);
 
+  /// Turns reliable delivery on: remote sends are stamped and logged,
+  /// remote frames are acked, deduped and ordered before any action is
+  /// handled, and `on_down` reports a link declared down. Before Start.
+  void EnableLinks(const ReliabilityOptions& options, const LinkClock* clock,
+                   LinkDownFn on_down);
+  /// This processor's reliable links; null when reliable delivery is off.
+  /// Delivery thread only, or at quiescence.
+  Links* links() { return links_.get(); }
+
   // net::Receiver:
+  /// A message addressed elsewhere was posted by a client thread (see
+  /// Cluster::MigrateNode): it is sent from here, as this processor's own.
   void Deliver(Message m) override;
   /// Batch delivery with an output-combining scope spanning the whole
   /// batch (when TreeConfig::combine_ops): all actions the batch emits
@@ -80,6 +93,11 @@ class Processor : public net::Receiver {
   /// The thread transport drained this processor's inbox: held relays
   /// leave now.
   void OnInboxDrained() override { out_.FlushHeld(); }
+  /// Thread transport: the links' earliest retransmission or ack timer.
+  uint64_t TimerDeadline() const override {
+    return links_ != nullptr ? links_->NextDeadline() : net::kNoTimer;
+  }
+  void OnTimer(uint64_t now_us) override;
 
   /// Completes a kReturnValue action addressed to this processor without
   /// a queue-manager round trip (the local-read fast path's last hop).
@@ -160,6 +178,8 @@ class Processor : public net::Receiver {
 
  private:
   void HandleAction(Action action);
+  /// Handles every action of an in-sequence message.
+  void HandleMessage(Message& m);
 
   ProcessorId id_;
   uint32_t cluster_size_;
@@ -171,6 +191,9 @@ class Processor : public net::Receiver {
   AasRegistry aas_;
   OpTracker ops_;
   std::unique_ptr<ProtocolHandler> handler_;
+  std::unique_ptr<Links> links_;
+  LinkDownFn on_link_down_;
+  std::vector<ProcessorId> downs_;  // OnTimer scratch
   uint32_t next_node_seq_ = 1;
   uint32_t next_update_seq_ = 1;
   std::atomic<uint64_t> actions_handled_{0};

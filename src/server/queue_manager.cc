@@ -1,5 +1,7 @@
 #include "src/server/queue_manager.h"
 
+#include "src/server/links.h"
+
 namespace lazytree {
 
 void QueueManager::Flush() {
@@ -43,8 +45,10 @@ void QueueManager::SendBuffer(Outbox& box) {
   held_ -= box.held;
   box.held = 0;
   box.direct = false;
-  network_->Send(std::move(box.msg));
+  Transmit(std::move(box.msg));
   box.msg = Message();
 }
+
+void QueueManager::SendLinked(Message m) { links_->Send(std::move(m)); }
 
 }  // namespace lazytree

@@ -29,6 +29,12 @@
 // buffer grows only at the back and leaves whole, so per-(from, to) FIFO
 // holds.
 //
+// Reliable delivery (server/links.h): with links set, every remote
+// message is stamped with its link's sequence number and the reverse
+// direction's cumulative ack, and logged, as it leaves for the network.
+// A buffer is stamped when it leaves, not when it fills, so the sequence
+// order is the send order.
+//
 // Held relays leave only from the delivery side (FlushHeld): the thread
 // transport calls it when a worker's inbox drains, before the batch counts
 // as handled, so a quiescent network has nothing held; on the sim,
@@ -55,6 +61,8 @@
 
 namespace lazytree {
 
+class Links;
+
 class QueueManager {
  public:
   /// `piggyback_window`: relayed actions held per remote destination
@@ -73,7 +81,7 @@ class QueueManager {
       BufferAction(dest, std::move(action));
       Flush();
     } else {
-      network_->Send(Message(self_, dest, std::move(action)));
+      Transmit(Message(self_, dest, std::move(action)));
     }
   }
 
@@ -125,6 +133,10 @@ class QueueManager {
 
   net::Network* network() { return network_; }
 
+  /// Stamps and logs every remote message on `links` from now on (null:
+  /// reliable delivery off). Set before the network starts.
+  void SetLinks(Links* links) { links_ = links; }
+
  private:
   // One destination's buffer: its first `held` actions are relays held
   // from earlier scopes, the rest were added by the open scope.
@@ -158,10 +170,21 @@ class QueueManager {
   // stays held below the window, anything else sends the whole buffer.
   void Flush();
   void SendBuffer(Outbox& box);
+  /// Hands `m` to the network, stamped when it crosses a reliable link;
+  /// drops it when that link is down.
+  void Transmit(Message m) {
+    if (links_ != nullptr && m.to != self_) {
+      SendLinked(std::move(m));
+    } else {
+      network_->Send(std::move(m));
+    }
+  }
+  void SendLinked(Message m);
 
   ProcessorId self_;
   net::Network* network_;
   size_t window_;
+  Links* links_ = nullptr;
 
   // `combine_owner_` is the only field other threads read; depth and
   // buffers belong to the delivering thread.

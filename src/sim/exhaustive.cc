@@ -52,10 +52,14 @@ uint64_t StateFingerprint(Cluster& cluster, net::SimNetwork& sim,
     if (proc.handler() != nullptr) proc.handler()->MixState(fp);
   }
   cluster.history_log().MixState(fp);
-  // Reliable-layer windows and timers are part of the configuration: two
-  // states equal in tree/history terms but differing in unacked frames or
-  // armed retransmit deadlines evolve differently once the pump fires.
-  if (cluster.reliable() != nullptr) cluster.reliable()->MixState(fp);
+  // Link logs and timers are part of the configuration: two states equal
+  // in tree/history terms but differing in unacked frames or armed
+  // retransmit deadlines evolve differently once the pump fires.
+  for (ProcessorId p = 0; p < cluster.size(); ++p) {
+    if (const Links* links = cluster.processor(p).links()) {
+      links->MixState(fp);
+    }
+  }
   sim.MixPending(fp);
   fp.Mix(round);
   fp.Mix(picks);

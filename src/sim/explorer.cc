@@ -86,8 +86,8 @@ EpisodeResult RunEpisodeImpl(const EpisodeConfig& config,
   // The episode's verification battery records violations for the trace /
   // report pipeline; the quiescence hook would abort on the first one.
   options.check_histories = false;
-  // The reliable layer under the sim transport uses virtual timers pumped
-  // at quiescent points, so its retransmissions and acks are part of the
+  // Reliable links under the sim transport use virtual timers pumped at
+  // quiescent points, so their retransmissions and acks are part of the
   // recorded schedule.
   options.reliable = config.reliable ? 1 : 0;
 
@@ -167,8 +167,8 @@ EpisodeResult RunEpisodeImpl(const EpisodeConfig& config,
         return;
       }
       if (!sim->Step()) {
-        // Delivery frontier is dry: fire the reliable layer's earliest
-        // virtual timer (retransmit / delayed ack). Its sends re-enter
+        // Delivery frontier is dry: fire the links' earliest virtual
+        // timers (retransmit / delayed ack). Its sends re-enter
         // the frontier as ordinary schedulable deliveries, so the round
         // only ends once recovery has fully drained too.
         if (!cluster.PumpNetworkTimers()) break;

@@ -106,7 +106,7 @@ struct EpisodeConfig {
   /// Network fault probabilities (record mode only; replay pins outcomes).
   double drop = 0;
   double dup = 0;
-  /// Reliable-delivery layer (net/reliable.h) under the episode. With it
+  /// Reliable delivery (server/links.h) under the episode. With it
   /// on, drop/dup faults are *recovered*: retransmissions and acks run as
   /// deterministic virtual-timer events pumped at the schedule's
   /// quiescent points, so fault-bearing traces still replay byte-for-byte

@@ -69,7 +69,9 @@ class MpscBatchQueue {
   /// Blocks until items are available or the queue is closed, then moves
   /// up to `max_items` pending items into `out` (whose previous contents
   /// are cleared — pass the same vector every call to recycle capacity).
-  /// Returns false only when the queue is closed *and* drained.
+  /// Returns false only when the queue is closed *and* drained. With a
+  /// `deadline`, the consumer parks no later than it and returns true
+  /// with `out` empty when it passes with nothing pending.
   ///
   /// The bound keeps one flooded inbox from turning into a single
   /// unbounded delivery batch: without it, a burst of N messages is
@@ -84,7 +86,9 @@ class MpscBatchQueue {
   /// sleep/wake round trip keeps the consumer out of the producers' Push
   /// path entirely.
   bool PopAll(std::vector<T>& out,
-              size_t max_items = std::numeric_limits<size_t>::max()) {
+              size_t max_items = std::numeric_limits<size_t>::max(),
+              std::chrono::steady_clock::time_point deadline =
+                  std::chrono::steady_clock::time_point::max()) {
     static const int kSpins =
         std::thread::hardware_concurrency() > 1 ? 4096 : 0;
     out.clear();
@@ -98,9 +102,14 @@ class MpscBatchQueue {
     }
     std::unique_lock<std::mutex> lock(mu_);
     parked_ = true;
-    cv_.wait(lock, [&] { return !items_.empty() || closed_; });
+    auto ready = [&] { return !items_.empty() || closed_; };
+    if (deadline == std::chrono::steady_clock::time_point::max()) {
+      cv_.wait(lock, ready);
+    } else {
+      cv_.wait_until(lock, deadline, ready);
+    }
     parked_ = false;
-    if (items_.empty()) return false;
+    if (items_.empty()) return !closed_;  // timed out, or closed and drained
     StageLocked();
     lock.unlock();
     TakeStaged(out, max_items);

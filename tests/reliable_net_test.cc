@@ -1,12 +1,14 @@
-// Nasty-edge tests for the reliable-delivery layer (net/reliable.h) and
-// its interaction with fault injection (net/faults.h) and the cluster:
+// Nasty-edge tests for reliable delivery — each processor's links
+// (server/links.h) — and its interaction with fault injection
+// (net/faults.h) and the cluster:
 //
 //   * dedup-window wraparound at sequence-number overflow,
 //   * the cumulative ack riding the last in-flight (reverse) message,
 //   * a retransmission racing the original's late delivery,
 //   * a partition window healing in the middle of a leaf split,
-//   * bounded retransmit budget: link-down fails pending ops with a
-//     retriable status instead of hanging Settle(),
+//   * bounded link-down time budget: link-down fails pending ops with a
+//     retriable status instead of hanging Settle(), and the budget is
+//     virtual time on the sim,
 //   * fault-bearing episode traces recording byte-for-byte identically
 //     and replaying without divergence.
 
@@ -17,13 +19,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "src/core/cluster.h"
 #include "src/net/faults.h"
-#include "src/net/reliable.h"
 #include "src/net/sim_network.h"
 #include "src/sim/explorer.h"
+#include "tests/linked_transport.h"
 
 namespace lazytree {
 namespace {
@@ -70,15 +73,15 @@ Action KeyedAction(Key k) {
 // next_seq wrapping past UINT64_MAX, because both compare sequence numbers
 // with serial arithmetic, not magnitude.
 TEST(ReliableNetTest, DedupWindowSurvivesSequenceWraparound) {
-  net::SimNetwork sim(7);
   net::FaultPlan plan;
   plan.drop = 0.25;      // force retransmissions across the wrap
   plan.duplicate = 0.5;  // force dedup decisions across the wrap
   plan.seed = 3;
-  net::FaultyNetwork faulty(&sim, plan);
-  net::ReliabilityOptions ropt;
+  ReliabilityOptions ropt;
   ropt.initial_seq = UINT64_MAX - 3;  // wrap after four sends
-  net::ReliableNetwork reliable(&faulty, ropt);
+  LinkedTransport reliable(std::make_unique<net::SimNetwork>(7),
+                           /*threads=*/false, &plan, ropt);
+  net::FaultyNetwork& faulty = *reliable.faulty();
 
   Recorder r0, r1;
   reliable.Register(0, &r0);
@@ -105,8 +108,9 @@ TEST(ReliableNetTest, DedupWindowSurvivesSequenceWraparound) {
 // its delayed ack is still pending, the ack must ride that message — the
 // last in-flight frame — instead of waiting for the pure-ack timer.
 TEST(ReliableNetTest, AckRidesLastInflightReverseMessage) {
-  net::SimNetwork sim(7);
-  net::ReliableNetwork reliable(&sim, net::ReliabilityOptions{});
+  auto owned_sim = std::make_unique<net::SimNetwork>(7);
+  net::SimNetwork& sim = *owned_sim;
+  LinkedTransport reliable(std::move(owned_sim), /*threads=*/false);
 
   Recorder r0, r1;
   // Every delivery at p1 answers with one reverse message.
@@ -138,8 +142,8 @@ TEST(ReliableNetTest, AckRidesLastInflightReverseMessage) {
 // original is still sitting undelivered in the base transport, so both
 // copies are in flight on the same channel. Exactly one may surface.
 TEST(ReliableNetTest, RetransmitRacingLateOriginalIsDeduped) {
-  net::SimNetwork sim(7);
-  net::ReliableNetwork reliable(&sim, net::ReliabilityOptions{});
+  LinkedTransport reliable(std::make_unique<net::SimNetwork>(7),
+                           /*threads=*/false);
   Recorder r0, r1;
   reliable.Register(0, &r0);
   reliable.Register(1, &r1);
@@ -178,9 +182,9 @@ TEST(ReliableNetTest, PartitionHealsMidSplit) {
   window.length = 4;
   options.faults.partitions.push_back(window);  // activates reliable layer
   // Both directions of the pair carry a window, and pure acks blackholed on
-  // the reverse direction keep the sender's retry counter climbing until an
-  // eager re-ack finally gets through — budget for both windows.
-  options.reliability.max_retransmits = 25;
+  // the reverse direction keep the sender's link stalled until an eager
+  // re-ack finally gets through — budget for both windows.
+  options.reliability.link_down_after_us = 60'000'000;
 
   Cluster cluster(options);
   cluster.Start();
@@ -189,13 +193,13 @@ TEST(ReliableNetTest, PartitionHealsMidSplit) {
   }
   ASSERT_TRUE(cluster.Settle());
   ASSERT_NE(cluster.faulty(), nullptr);
-  ASSERT_NE(cluster.reliable(), nullptr);
+  ASSERT_TRUE(cluster.reliable());
   EXPECT_GT(cluster.faulty()->partitioned(), 0u)
       << "the window must actually have blackholed messages";
   auto snap = cluster.NetStats();
   EXPECT_GT(snap.retransmits, 0u) << "healing is retransmission-driven";
   EXPECT_EQ(snap.link_down, 0u) << "the window must heal within budget";
-  EXPECT_FALSE(cluster.reliable()->AnyLinkDown());
+  EXPECT_FALSE(cluster.AnyLinkDown());
   for (Key k = 0; k < 12; ++k) {
     auto found = cluster.Search(1, k * 7 + 1);
     ASSERT_TRUE(found.ok()) << "key " << k * 7 + 1;
@@ -206,7 +210,7 @@ TEST(ReliableNetTest, PartitionHealsMidSplit) {
 }
 
 // ---------------------------------------------------------------------------
-// Graceful degradation: a permanent partition exhausts the retransmit
+// Graceful degradation: a permanent partition exhausts the link-down
 // budget, the link is declared down, pending operations fail with the
 // retriable kUnavailable status, and Settle() returns instead of hanging.
 TEST(ReliableNetTest, LinkDownFailsPendingOpsWithRetriableStatus) {
@@ -222,7 +226,7 @@ TEST(ReliableNetTest, LinkDownFailsPendingOpsWithRetriableStatus) {
   forever.start = 0;
   forever.length = UINT64_MAX / 2;  // never heals
   options.faults.partitions.push_back(forever);
-  options.reliability.max_retransmits = 3;  // die fast
+  options.reliability.link_down_after_us = 2000;  // die fast
 
   Cluster cluster(options);
   cluster.Start();
@@ -239,8 +243,8 @@ TEST(ReliableNetTest, LinkDownFailsPendingOpsWithRetriableStatus) {
   }
   EXPECT_TRUE(cluster.Settle()) << "a dead link must not hang Settle()";
 
-  ASSERT_NE(cluster.reliable(), nullptr);
-  EXPECT_TRUE(cluster.reliable()->AnyLinkDown());
+  ASSERT_TRUE(cluster.reliable());
+  EXPECT_TRUE(cluster.AnyLinkDown());
   auto snap = cluster.NetStats();
   EXPECT_GT(snap.link_down, 0u);
   size_t unavailable = 0;
@@ -251,6 +255,50 @@ TEST(ReliableNetTest, LinkDownFailsPendingOpsWithRetriableStatus) {
   EXPECT_GT(unavailable, 0u)
       << "cross-link ops must fail retriable, not silently vanish";
   cluster.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// The link-down budget is time on the links' own clock — virtual time on
+// the sim, so the verdict does not depend on the host. A link with no
+// ack progress dies at its first retransmission timer at or past the
+// budget, never before. With jitter off, the timers fire at 200, 600,
+// 1400, 3000, 6200, ... µs (200 µs RTO floor, doubling), so the budget
+// picks exactly which firing kills the link.
+TEST(ReliableNetTest, LinkDownWhenVirtualBudgetRunsOut) {
+  struct Case {
+    uint64_t budget_us;
+    uint64_t down_at_us;
+    uint64_t retransmits;
+  };
+  for (const Case& c : {Case{2000, 3000, 3}, Case{3000, 3000, 3},
+                        Case{3001, 6200, 4}, Case{20000, 25400, 6}}) {
+    SCOPED_TRACE("budget " + std::to_string(c.budget_us) + " us");
+    net::FaultPlan plan;
+    net::FaultPlan::Partition forever;
+    forever.a = 0;
+    forever.b = 1;
+    forever.length = UINT64_MAX / 2;
+    plan.partitions.push_back(forever);
+    ReliabilityOptions ropt;
+    ropt.jitter_us = 0;
+    ropt.link_down_after_us = c.budget_us;
+    LinkedTransport reliable(std::make_unique<net::SimNetwork>(7),
+                             /*threads=*/false, &plan, ropt);
+    Recorder r0, r1;
+    reliable.Register(0, &r0);
+    reliable.Register(1, &r1);
+    reliable.Start();
+    reliable.Send(Message(0, 1, KeyedAction(1)));
+    // Nothing crosses, so nothing is left armed once the link is down.
+    ASSERT_TRUE(reliable.WaitQuiescent(std::chrono::milliseconds(5000)));
+    const auto snap = reliable.stats().Snapshot();
+    EXPECT_EQ(snap.link_down, 1u);
+    EXPECT_EQ(snap.retransmits, c.retransmits);
+    EXPECT_EQ(reliable.Now(), c.down_at_us);
+    EXPECT_EQ(reliable.Unacked(), 0u) << "a dead link drops its log";
+    EXPECT_EQ(r1.total(), 0u);
+    reliable.Stop();
+  }
 }
 
 // ---------------------------------------------------------------------------

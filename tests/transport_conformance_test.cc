@@ -4,7 +4,8 @@
 // Deliver, WaitQuiescent). Runs against the zero-copy ThreadNetwork and
 // SimNetwork, so a transport rewrite cannot silently weaken any of them —
 // and against both base transports wrapped in FaultyNetwork (5% drop +
-// duplicate + reorder + delay) under ReliableNetwork, which must restore
+// duplicate + reorder + delay) under per-processor reliable links
+// (server/links.h, wired by tests/linked_transport.h), which must restore
 // the exact same contract over the lossy links.
 
 #include <gtest/gtest.h>
@@ -20,9 +21,9 @@
 #include <vector>
 
 #include "src/net/faults.h"
-#include "src/net/reliable.h"
 #include "src/net/sim_network.h"
 #include "src/net/thread_network.h"
+#include "tests/linked_transport.h"
 
 namespace lazytree {
 namespace {
@@ -30,8 +31,8 @@ namespace {
 enum class TransportUnderTest {
   kSim,
   kThreadFast,
-  kSimLossy,     // Sim base + FaultyNetwork + ReliableNetwork (virtual timers)
-  kThreadLossy,  // Thread base + FaultyNetwork + ReliableNetwork (real timers)
+  kSimLossy,     // Sim base + FaultyNetwork + links (virtual timers)
+  kThreadLossy,  // Thread base + FaultyNetwork + links (worker timers)
 };
 
 const char* TransportName(TransportUnderTest t) {
@@ -54,42 +55,6 @@ net::FaultPlan LossyPlan() {
   return plan;
 }
 
-/// The lossy stack under test: base transport, a FaultyNetwork breaking
-/// its links, and a ReliableNetwork restoring the §4 contract on top.
-/// Declaration order is destruction-order-critical (reverse of wrapping).
-class LossyTransport : public net::Network {
- public:
-  LossyTransport(std::unique_ptr<net::Network> base, bool real_timers)
-      : base_(std::move(base)),
-        faulty_(std::make_unique<net::FaultyNetwork>(base_.get(),
-                                                     LossyPlan())) {
-    net::ReliabilityOptions ropt;
-    ropt.real_timers = real_timers;
-    reliable_ =
-        std::make_unique<net::ReliableNetwork>(faulty_.get(), ropt);
-  }
-
-  void Register(ProcessorId id, net::Receiver* receiver) override {
-    reliable_->Register(id, receiver);
-  }
-  ProcessorId size() const override { return reliable_->size(); }
-  void Send(Message m) override { reliable_->Send(std::move(m)); }
-  void Start() override { reliable_->Start(); }
-  void Stop() override { reliable_->Stop(); }
-  bool WaitQuiescent(std::chrono::milliseconds timeout) override {
-    return reliable_->WaitQuiescent(timeout);
-  }
-  net::NetworkStats& stats() override { return reliable_->stats(); }
-
-  net::FaultyNetwork& faulty() { return *faulty_; }
-  net::ReliableNetwork& reliable() { return *reliable_; }
-
- private:
-  std::unique_ptr<net::Network> base_;
-  std::unique_ptr<net::FaultyNetwork> faulty_;
-  std::unique_ptr<net::ReliableNetwork> reliable_;
-};
-
 std::unique_ptr<net::Network> MakeTransport(TransportUnderTest t,
                                             bool byte_stats = false) {
   switch (t) {
@@ -98,14 +63,18 @@ std::unique_ptr<net::Network> MakeTransport(TransportUnderTest t,
     case TransportUnderTest::kThreadFast:
       return std::make_unique<net::ThreadNetwork>(
           net::ThreadNetwork::Options{.byte_stats = byte_stats});
-    case TransportUnderTest::kSimLossy:
-      return std::make_unique<LossyTransport>(
-          std::make_unique<net::SimNetwork>(7), /*real_timers=*/false);
-    case TransportUnderTest::kThreadLossy:
-      return std::make_unique<LossyTransport>(
+    case TransportUnderTest::kSimLossy: {
+      const net::FaultPlan plan = LossyPlan();
+      return std::make_unique<LinkedTransport>(
+          std::make_unique<net::SimNetwork>(7), /*threads=*/false, &plan);
+    }
+    case TransportUnderTest::kThreadLossy: {
+      const net::FaultPlan plan = LossyPlan();
+      return std::make_unique<LinkedTransport>(
           std::make_unique<net::ThreadNetwork>(
               net::ThreadNetwork::Options{.byte_stats = byte_stats}),
-          /*real_timers=*/true);
+          /*threads=*/true, &plan);
+    }
   }
   return nullptr;
 }
@@ -255,8 +224,8 @@ TEST_P(TransportConformanceTest, QuiescenceUnderSendStorm) {
 
 TEST_P(TransportConformanceTest, SendDuringStopIsAccounted) {
   if (!IsThreaded(GetParam()) || IsLossy(GetParam())) {
-    GTEST_SKIP() << "bare thread transport only: the reliable layer cannot "
-                    "settle windows whose acks died with the transport";
+    GTEST_SKIP() << "bare thread transport only: reliable links cannot "
+                    "settle logs whose acks died with the transport";
   }
   auto net = MakeTransport(GetParam());
   Recorder r0, r1;
@@ -310,7 +279,8 @@ TEST_P(TransportConformanceTest, StatsCountRemoteLocalAndBytes) {
 TEST_P(TransportConformanceTest, LossyRecoveryIsObservable) {
   if (!IsLossy(GetParam())) GTEST_SKIP() << "lossy stack only";
   auto net = MakeTransport(GetParam());
-  auto* lossy = static_cast<LossyTransport*>(net.get());
+  net::FaultyNetwork& faulty =
+      *static_cast<LinkedTransport*>(net.get())->faulty();
   constexpr ProcessorId kProcs = 3;
   constexpr Key kRounds = 300;
   std::vector<std::unique_ptr<Recorder>> sinks;
@@ -343,11 +313,11 @@ TEST_P(TransportConformanceTest, LossyRecoveryIsObservable) {
   auto snap = net->stats().Snapshot();
   // Any failure below prints the whole run: a link declared down after a
   // long WaitQuiescent points at a stalled host, one after a short wait
-  // at the retransmit budget.
+  // at the link-down budget.
   std::ostringstream diag;
   diag << "WaitQuiescent took " << wait_ms << " ms; faulty layer dropped="
-       << lossy->faulty().dropped()
-       << " duplicated=" << lossy->faulty().duplicated() << "; sink totals";
+       << faulty.dropped() << " duplicated=" << faulty.duplicated()
+       << "; sink totals";
   for (ProcessorId id = 0; id < kProcs; ++id) {
     diag << " p" << id << "=" << sinks[id]->total();
   }
@@ -355,9 +325,9 @@ TEST_P(TransportConformanceTest, LossyRecoveryIsObservable) {
        << snap.ToString();
   SCOPED_TRACE(diag.str());
   ASSERT_TRUE(quiescent);
-  // Recovery was real: the fault layer injected, the reliable layer paid.
-  EXPECT_GT(lossy->faulty().dropped(), 0u);
-  EXPECT_GT(lossy->faulty().duplicated(), 0u);
+  // Recovery was real: the fault layer injected, the links paid.
+  EXPECT_GT(faulty.dropped(), 0u);
+  EXPECT_GT(faulty.duplicated(), 0u);
   EXPECT_GT(snap.retransmits, 0u) << "drops must force retransmissions";
   EXPECT_GT(snap.duplicates_dropped, 0u)
       << "injected duplicates must be suppressed by the dedup window";

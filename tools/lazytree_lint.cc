@@ -361,11 +361,6 @@ const char* const kApprovedConcurrencyFiles[] = {
     // The lossy-link fault injector (per-link mutex guarding send
     // counters / held messages — decorator state, never processor state).
     "src/net/faults.h", "src/net/faults.cc",
-    // The reliable-delivery layer: channel windows and timers are shared
-    // between sender threads, the delivery path, and the real-timer
-    // thread, guarded by one decorator-internal mutex; processors still
-    // see the §1.1 single-threaded delivery model above it.
-    "src/net/reliable.h", "src/net/reliable.cc",
     // Client-thread completion handoff.
     "src/server/op_tracker.h", "src/server/op_tracker.cc",
     // Cross-thread history collection (quiescence-read, append-live).
